@@ -16,7 +16,7 @@ Every figure benchmark routes its policy runs through the simulation
 engine selected by two environment variables (see
 :mod:`repro.simulation.engine` for the engine semantics)::
 
-    # Default: the in-process vectorized fast path ("auto").
+    # Default: the in-process family evaluators ("auto").
     PYTHONPATH=src python -m pytest benchmarks -q
 
     # Reference scalar loop (slowest, ground truth):

@@ -2,11 +2,12 @@
 
 Benchmarks one fixed keep-alive policy run and one hybrid histogram
 policy run over the session workload (150 apps, 3 days — the same
-workload every figure benchmark uses) under the execution engines of
+workload every figure benchmark uses) under the execution routes of
 :mod:`repro.simulation.engine`, and asserts the speed claims: the
-vectorized fixed-policy fast path is at least 10x faster than the
-reference serial loop, and the banked struct-of-arrays hybrid run is at
-least 5x faster than replaying the hybrid policy serially.
+constant keep-alive family of one (the ``auto`` route of a single fixed
+policy) is at least 10x faster than the reference serial loop, and the
+hybrid family of one is at least 5x faster than replaying the hybrid
+policy serially.
 
 It also benchmarks the **workload pipeline** itself: building the
 invocation representation from per-function timestamp arrays and running
@@ -32,8 +33,9 @@ import time
 import numpy as np
 import pytest
 
+import repro.simulation.sweep_engine as sweep_engine_module
 from repro.core.config import HybridPolicyConfig
-from repro.core.hybrid import HybridHistogramPolicy
+from repro.core.forecaster import IdleTimeForecaster
 from repro.policies.registry import PolicyFactory, fixed_keepalive_factory, hybrid_factory
 from repro.simulation.engine import RunnerOptions
 from repro.simulation.runner import WorkloadRunner
@@ -44,8 +46,7 @@ pytestmark = pytest.mark.slow_bench
 
 ENGINE_OPTIONS = {
     "serial": RunnerOptions(execution="serial"),
-    "vectorized": RunnerOptions(execution="vectorized"),
-    "banked": RunnerOptions(execution="banked"),
+    "auto": RunnerOptions(execution="auto"),
     "parallel": RunnerOptions(execution="parallel"),
 }
 
@@ -62,7 +63,7 @@ def factory() -> PolicyFactory:
 
 @pytest.mark.parametrize("engine", list(ENGINE_OPTIONS))
 def test_bench_fixed_policy_engines(benchmark, workload, factory, engine):
-    """One pytest-benchmark group comparing the three engines head to head."""
+    """One pytest-benchmark group comparing the three routes head to head."""
     runner = WorkloadRunner(workload, ENGINE_OPTIONS[engine])
     benchmark.group = "fixed-10min over session workload"
     result = benchmark.pedantic(
@@ -80,37 +81,38 @@ def _best_of(runs: int, fn) -> float:
     return best
 
 
-def test_vectorized_fast_path_at_least_10x(workload, factory, record_bench):
-    """The PR 1 acceptance-criterion speedup, asserted directly.
+def test_constant_family_of_one_at_least_10x(workload, factory, record_bench):
+    """The fixed-policy speedup bar, asserted directly.
 
-    Best-of-3 wall-clock per engine; the vectorized closed-form path must
-    beat the serial scalar loop by >= 10x on the benchmark workload.
+    Best-of-3 wall-clock per route; one fixed keep-alive policy evaluated
+    as a constant family of one must beat the serial scalar loop by
+    >= 10x on the benchmark workload.
     """
     serial = WorkloadRunner(workload, ENGINE_OPTIONS["serial"])
-    vectorized = WorkloadRunner(workload, ENGINE_OPTIONS["vectorized"])
+    family = WorkloadRunner(workload, ENGINE_OPTIONS["auto"])
     # Warm both paths (numpy import costs, workload invocation cache).
-    vectorized.run_policy(factory)
+    family.run_policy(factory)
 
     serial_best = _best_of(3, lambda: serial.run_policy(factory))
-    vectorized_best = _best_of(3, lambda: vectorized.run_policy(factory))
-    speedup = serial_best / vectorized_best
+    family_best = _best_of(3, lambda: family.run_policy(factory))
+    speedup = serial_best / family_best
     print(
         f"\nserial best {serial_best * 1e3:.1f} ms, "
-        f"vectorized best {vectorized_best * 1e3:.1f} ms, "
+        f"constant family of one best {family_best * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
     record_bench(
-        "engine/vectorized-vs-serial",
+        "engine/constant-family-of-one-vs-serial",
         speedup=speedup,
         serial_seconds=serial_best,
-        vectorized_seconds=vectorized_best,
+        family_seconds=family_best,
     )
     assert speedup >= 10.0
 
 
-@pytest.mark.parametrize("engine", ["serial", "banked"])
+@pytest.mark.parametrize("engine", ["serial", "auto"])
 def test_bench_hybrid_policy_engines(benchmark, workload, engine):
-    """Head-to-head group: the hybrid policy under serial vs banked."""
+    """Head-to-head group: the hybrid policy under serial vs family of one."""
     runner = WorkloadRunner(workload, ENGINE_OPTIONS[engine])
     benchmark.group = "hybrid-4h over session workload"
     result = benchmark.pedantic(
@@ -119,96 +121,93 @@ def test_bench_hybrid_policy_engines(benchmark, workload, engine):
     assert result.num_apps > 0
 
 
-def test_banked_hybrid_at_least_5x(workload, record_bench):
-    """The PR 2 acceptance-criterion speedup, asserted directly.
+def test_hybrid_family_of_one_at_least_5x(workload, record_bench):
+    """The hybrid speedup bar, asserted directly.
 
-    The banked struct-of-arrays hybrid run (one HybridPolicyBank stepping
-    every application together) must beat the serial per-app scalar
-    replay by >= 5x on the benchmark workload, while the equivalence
-    suite guarantees identical results.
+    One hybrid policy evaluated as a family of one (one shared histogram
+    recording pass plus flat decision masks) must beat the serial per-app
+    scalar replay by >= 5x on the benchmark workload, while the
+    equivalence suites guarantee identical results.
     """
     factory = hybrid_factory()
     serial = WorkloadRunner(workload, ENGINE_OPTIONS["serial"])
-    banked = WorkloadRunner(workload, ENGINE_OPTIONS["banked"])
-    banked_result = banked.run_policy(factory)  # warm-up
+    family = WorkloadRunner(workload, ENGINE_OPTIONS["auto"])
+    family_result = family.run_policy(factory)  # warm-up
 
     serial_best = _best_of(2, lambda: serial.run_policy(factory))
-    banked_best = _best_of(3, lambda: banked.run_policy(factory))
-    speedup = serial_best / banked_best
+    family_best = _best_of(3, lambda: family.run_policy(factory))
+    speedup = serial_best / family_best
     print(
         f"\nserial best {serial_best * 1e3:.1f} ms, "
-        f"banked best {banked_best * 1e3:.1f} ms, "
+        f"hybrid family of one best {family_best * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
     record_bench(
-        "engine/banked-vs-serial-hybrid",
+        "engine/hybrid-family-of-one-vs-serial",
         speedup=speedup,
         serial_seconds=serial_best,
-        banked_seconds=banked_best,
+        family_seconds=family_best,
     )
     # Sanity: the run actually exercised the hybrid decision modes.
-    assert banked_result.mode_usage().get("histogram", 0) > 0
+    assert family_result.mode_usage().get("histogram", 0) > 0
     assert speedup >= 5.0
 
 
 # --------------------------------------------------------------------------- #
-# Batched ARIMA: banked hybrid under an ARIMA-heavy (fig 19-style) config
+# Batched ARIMA: hybrid family of one under an ARIMA-heavy (fig 19) config
 # --------------------------------------------------------------------------- #
 WASTE_TOLERANCE = 1e-9
 
 #: Fig 19-flavoured ARIMA-heavy configuration: a short (20-minute)
 #: histogram range pushes a large share of idle times out of bounds and a
 #: lowered OOB threshold hands those apps to the time-series component
-#: early, so the bank leans on ARIMA far more than the 4-hour default —
+#: early, so the policy leans on ARIMA far more than the 4-hour default —
 #: the regime Figure 19 isolates.
 ARIMA_HEAVY_CONFIG = HybridPolicyConfig(
     histogram_range_minutes=20.0, oob_fraction_threshold=0.2
 )
 
 
-def _scalar_arima_hybrid_factory(config: HybridPolicyConfig) -> PolicyFactory:
-    """A hybrid factory whose bank keeps the per-row scalar ARIMA loop.
+def _forecast_row_by_row(histories):
+    """The forecast memo's batch, one scalar forecaster per history.
 
-    ``HybridPolicyBank(..., batched_arima=False)`` is the pre-batching
-    banked path — the baseline the tentpole's stacked fitter must beat.
+    The pre-batching path — the baseline the stacked fitter must beat.
     """
-
-    class _ScalarArimaHybrid(HybridHistogramPolicy):
-        def make_bank(self, num_apps: int):
-            from repro.policies.bank import HybridPolicyBank
-
-            return HybridPolicyBank(num_apps, self.config, batched_arima=False)
-
-    return PolicyFactory(
-        name="hybrid-scalar-arima", builder=lambda: _ScalarArimaHybrid(config)
+    return np.array(
+        [
+            IdleTimeForecaster.from_history(
+                history, max_history=max(len(history), 2)
+            ).predict_next_idle_time()[0]
+            for history in histories
+        ],
+        dtype=np.float64,
     )
 
 
-def test_arima_heavy_banked_batched_at_least_3x(workload, record_bench):
-    """The PR 7 acceptance-criterion speedup, asserted directly.
+def test_arima_heavy_family_batched_at_least_3x(workload, record_bench, monkeypatch):
+    """The batched-ARIMA speedup bar, asserted directly.
 
-    Under the ARIMA-heavy configuration the banked hybrid run with the
-    stacked (batched) ARIMA fitter must beat the same banked run with the
-    per-row scalar fitter by >= 3x, while staying exactly equivalent to
+    Under the ARIMA-heavy configuration the hybrid family of one with the
+    stacked (batched) ARIMA fitter must beat the same run with one scalar
+    forecaster per history by >= 3x, while staying exactly equivalent to
     the serial per-app reference: identical cold-start counts, wasted
     memory within 1e-9.
     """
-    batched_factory = hybrid_factory(ARIMA_HEAVY_CONFIG)
-    scalar_factory = _scalar_arima_hybrid_factory(ARIMA_HEAVY_CONFIG)
+    factory = hybrid_factory(ARIMA_HEAVY_CONFIG)
     serial = WorkloadRunner(workload, ENGINE_OPTIONS["serial"])
-    banked = WorkloadRunner(workload, ENGINE_OPTIONS["banked"])
+    family = WorkloadRunner(workload, ENGINE_OPTIONS["auto"])
 
-    # Correctness before timing: the batched banked run must reproduce
-    # the serial per-app reference bit-for-bit on cold starts.
-    batched_result = banked.run_policy(batched_factory)  # also the warm-up
-    serial_result = serial.run_policy(batched_factory)
+    # Correctness before timing: the batched run must reproduce the
+    # serial per-app reference bit-for-bit on cold starts.
+    batched_result = family.run_policy(factory)  # also the warm-up
+    serial_result = serial.run_policy(factory)
     assert len(batched_result.app_results) == len(serial_result.app_results)
-    for reference_app, banked_app in zip(
+    for reference_app, family_app in zip(
         serial_result.app_results, batched_result.app_results
     ):
-        assert banked_app.app_id == reference_app.app_id
-        assert banked_app.cold_starts == reference_app.cold_starts
-        assert banked_app.wasted_memory_minutes == pytest.approx(
+        assert family_app.app_id == reference_app.app_id
+        assert family_app.cold_starts == reference_app.cold_starts
+        assert family_app.wasted_memory_minutes == pytest.approx(
             reference_app.wasted_memory_minutes,
             abs=WASTE_TOLERANCE,
             rel=WASTE_TOLERANCE,
@@ -216,22 +215,23 @@ def test_arima_heavy_banked_batched_at_least_3x(workload, record_bench):
     # The config must actually be ARIMA-heavy, or the comparison is moot.
     arima_decisions = batched_result.mode_usage().get("arima", 0)
     assert arima_decisions > 0
-    # And the scalar-loop bank is the same policy, differently executed.
-    scalar_result = banked.run_policy(scalar_factory)
+
+    batched_best = _best_of(3, lambda: family.run_policy(factory))
+    monkeypatch.setattr(sweep_engine_module, "forecast_idle_times", _forecast_row_by_row)
+    # The row-by-row forecasts are the same policy, differently executed.
+    scalar_result = family.run_policy(factory)
     assert [app.cold_starts for app in scalar_result.app_results] == [
         app.cold_starts for app in batched_result.app_results
     ]
-
-    scalar_best = _best_of(2, lambda: banked.run_policy(scalar_factory))
-    batched_best = _best_of(3, lambda: banked.run_policy(batched_factory))
+    scalar_best = _best_of(2, lambda: family.run_policy(factory))
     speedup = scalar_best / batched_best
     print(
-        f"\nARIMA-heavy banked hybrid ({arima_decisions:,} ARIMA decisions): "
-        f"scalar-loop best {scalar_best * 1e3:.0f} ms, "
+        f"\nARIMA-heavy hybrid family of one ({arima_decisions:,} ARIMA decisions): "
+        f"row-by-row best {scalar_best * 1e3:.0f} ms, "
         f"batched best {batched_best * 1e3:.0f} ms, speedup {speedup:.1f}x"
     )
     record_bench(
-        "engine/banked-arima-batched-vs-scalar",
+        "engine/family-arima-batched-vs-scalar",
         speedup=speedup,
         scalar_seconds=scalar_best,
         batched_seconds=batched_best,

@@ -6,8 +6,8 @@ The acceptance bar for the out-of-core pipeline, asserted directly:
   **flat in app count** — the 100k-app run (same aggregate load via
   ``target_rps``) must stay within a small factor of the 25k-app run's
   peak, and under a fixed absolute bound, because chunked generation and
-  the memory-bounded banked pass never hold more than one chunk of the
-  trace (plus one chunk of per-app bank state) resident.
+  the memory-bounded hybrid family pass never hold more than one chunk
+  of the trace (plus one chunk of per-app histogram state) resident.
 * The streamed archive is bit-identical to ``generate().store.save()``
   at small scale (chunk boundaries never touch the RNG stream).
 * Shared-memory shard results are byte-identical across 1/2/4 workers.
@@ -17,8 +17,8 @@ The acceptance bar for the out-of-core pipeline, asserted directly:
 * A 1M-app / ~100M-invocation fused generate+simulate run completes
   with peak RSS flat in app count (subprocess-measured, against a
   quarter-scale run at the same aggregate load).
-* Measured invocations/sec throughput entries (generation, the banked
-  pass, parallel generation, and the fused million-app run) are
+* Measured invocations/sec throughput entries (generation, the hybrid
+  family pass, parallel generation, and the fused million-app run) are
   appended to ``BENCH_results.json``.
 
 Each scale runs in a subprocess so ``ru_maxrss`` reports that scale's
@@ -65,7 +65,7 @@ RSS_FLAT_RATIO = 2.5
 RSS_ABSOLUTE_BOUND_MB = 1024.0
 
 #: One scale's whole pipeline, run in a child process: stream-generate to
-#: disk, re-open memory-mapped, run the banked hybrid pass under the
+#: disk, re-open memory-mapped, run the hybrid family pass under the
 #: resident-bytes budget, report timings and the child's own peak RSS.
 _CHILD_SCRIPT = """
 import json, resource, sys, time
@@ -90,7 +90,7 @@ store = open_streamed_store(stats.path)
 profile = store.memory_profile()
 start = time.perf_counter()
 result = WorkloadRunner(
-    store, RunnerOptions(execution="banked", max_resident_bytes=budget)
+    store, RunnerOptions(max_resident_bytes=budget)
 ).run_policy(hybrid_factory())
 sim_seconds = time.perf_counter() - start
 
@@ -151,10 +151,10 @@ def test_scaleout_100k_apps_flat_rss(tmp_path, record_bench):
     rss_ratio = large["peak_rss_mb"] / small["peak_rss_mb"]
     print(
         f"\n25k apps: {small['num_invocations']:,} inv, "
-        f"gen {small['gen_seconds']:.1f}s, banked {small['sim_seconds']:.1f}s, "
+        f"gen {small['gen_seconds']:.1f}s, sim {small['sim_seconds']:.1f}s, "
         f"peak RSS {small['peak_rss_mb']:.0f} MB"
         f"\n100k apps: {large['num_invocations']:,} inv, "
-        f"gen {large['gen_seconds']:.1f}s, banked {large['sim_seconds']:.1f}s, "
+        f"gen {large['gen_seconds']:.1f}s, sim {large['sim_seconds']:.1f}s, "
         f"peak RSS {large['peak_rss_mb']:.0f} MB "
         f"({large['disk_bytes'] / 1e6:.0f} MB on disk, ratio {rss_ratio:.2f}x)"
     )
@@ -165,7 +165,7 @@ def test_scaleout_100k_apps_flat_rss(tmp_path, record_bench):
         gen_invocations_per_second=round(
             large["num_invocations"] / large["gen_seconds"]
         ),
-        banked_invocations_per_second=round(
+        sim_invocations_per_second=round(
             large["num_invocations"] / large["sim_seconds"]
         ),
         peak_rss_mb_25k=round(small["peak_rss_mb"], 1),
@@ -256,8 +256,8 @@ def test_parallel_generation_speedup_and_byte_identity(tmp_path, record_bench):
 
 
 #: One fused generate+simulate pass at full scale, in a child process:
-#: no disk round-trip, parallel v2 generation feeding the banked engine
-#: chunk by chunk, child-measured wall time and peak RSS.
+#: no disk round-trip, parallel v2 generation feeding the hybrid family
+#: evaluator chunk by chunk, child-measured wall time and peak RSS.
 _FUSED_CHILD_SCRIPT = """
 import json, resource, sys, time
 
@@ -277,7 +277,7 @@ start = time.perf_counter()
 results = simulate_streamed(
     config,
     [hybrid_factory()],
-    options=RunnerOptions(execution="banked", max_resident_bytes=budget),
+    options=RunnerOptions(max_resident_bytes=budget),
     chunk_apps=16384,
     gen_workers=gen_workers,
 )

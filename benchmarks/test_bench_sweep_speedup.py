@@ -5,9 +5,9 @@ keep-alive grid, the no-unloading bound, the six head/tail cutoff
 configurations, and the four CV-threshold configurations — over the
 session workload (150 apps, 3 days), twice:
 
-* **per-config**: one ``execution=auto`` run per configuration (the
-  closed-form fast path for the fixed family, one banked run per hybrid
-  configuration) — today's baseline;
+* **per-config**: ``sweep="per-policy"``, every configuration evaluated
+  as a family of one (one closed-form pass per fixed window, one
+  histogram recording pass per hybrid configuration);
 * **family**: the shared-state sweep engine
   (:mod:`repro.simulation.sweep_engine`), which evaluates the fixed grid
   in one closed-form pass over shared gaps and all ten hybrid
@@ -62,7 +62,7 @@ def _best_of(runs: int, fn) -> float:
 def test_sweep_engine_matches_and_is_at_least_3x(workload, factories, record_bench):
     """The PR 4 acceptance criterion, asserted directly."""
     per_config = WorkloadRunner(workload, RunnerOptions(sweep="per-policy"))
-    family = WorkloadRunner(workload, RunnerOptions(sweep="family"))
+    family = WorkloadRunner(workload, RunnerOptions(sweep="auto"))
 
     family_results = family.run_policies(factories)  # also warms both paths
     reference = per_config.run_policies(factories)
@@ -92,7 +92,7 @@ def test_sweep_engine_matches_and_is_at_least_3x(workload, factories, record_ben
         f"family best {family_best * 1e3:.0f} ms, speedup {speedup:.1f}x"
     )
     record_bench(
-        "sweep/family-vs-per-config",
+        "sweep/family-vs-families-of-one",
         speedup=speedup,
         per_config_seconds=per_config_best,
         family_seconds=family_best,
@@ -101,7 +101,7 @@ def test_sweep_engine_matches_and_is_at_least_3x(workload, factories, record_ben
     assert speedup >= 3.0
 
 
-@pytest.mark.parametrize("sweep", ["per-policy", "family"])
+@pytest.mark.parametrize("sweep", ["per-policy", "auto"])
 def test_bench_combined_figure_sweep(benchmark, workload, factories, sweep):
     """Head-to-head pytest-benchmark group: per-config vs family sweep."""
     runner = WorkloadRunner(workload, RunnerOptions(sweep=sweep))

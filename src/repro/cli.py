@@ -24,13 +24,14 @@ Every sub-command accepts ``--num-apps``, ``--days``, ``--seed`` and
 ``--max-daily-rate`` to size the synthetic workload; ``--trace-dir`` loads
 an AzurePublicDataset-schema trace from disk instead of generating one.
 ``simulate``, ``sweep``, and ``experiment`` additionally accept
-``--execution serial|vectorized|banked|parallel|auto``, ``--workers N``,
-``--sweep auto|family|per-policy``, and ``--max-resident-mb M`` to pick
-the simulation engine, the multi-policy sweep routing, and the per-pass
-memory budget (see :mod:`repro.simulation.engine` and
+``--execution auto|serial|parallel``, ``--workers N``,
+``--sweep auto|per-policy``, and ``--max-resident-mb M`` to pick the
+simulation route, the multi-policy grouping, and the per-pass memory
+budget (see :mod:`repro.simulation.engine` and
 :mod:`repro.simulation.sweep_engine`); ``auto`` evaluates whole policy
-families in one shared-state pass and routes banked-capable policies
-through one struct-of-arrays policy bank instead of per-app instances.
+families in one shared-state pass, a single policy as a family of one.
+Invalid option values (a bad policy spec, ``--workers 0``) print
+``error: ...`` and exit with status 2.
 ``trace gen`` streams a synthetic trace of any size straight to an
 ``.npz`` store (bit-identical to the in-memory generator) that re-opens
 memory-mapped for out-of-core simulation.
@@ -112,10 +113,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         choices=EXECUTION_MODES,
         default="auto",
         help=(
-            "simulation engine: serial scalar loop, vectorized fixed-policy "
-            "fast path, banked struct-of-arrays stepping for stateful "
-            "policies, parallel sharded over a worker pool, or auto "
-            "(fastest supported route per policy)"
+            "simulation route: auto (each policy family evaluated in "
+            "process), parallel (the same, sharded over a worker pool), or "
+            "serial (the scalar reference loop)"
         ),
     )
     parser.add_argument(
@@ -129,10 +129,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         choices=SWEEP_MODES,
         default="auto",
         help=(
-            "multi-policy sweep routing: auto (share state across policy-"
-            "family configurations under auto/parallel execution), family "
-            "(force the shared-state pass), or per-policy (one run per "
-            "configuration)"
+            "multi-policy grouping: auto (one shared-state pass per policy "
+            "family) or per-policy (each configuration as a family of one)"
         ),
     )
     parser.add_argument(
@@ -157,6 +155,12 @@ def _runner_options(args: argparse.Namespace) -> RunnerOptions:
             int(max_resident_mb * 1e6) if max_resident_mb is not None else None
         ),
     )
+
+
+def _usage_error(error: ValueError) -> int:
+    """Report an invalid option value on stderr; exit status 2, like argparse."""
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 def _workload_config(args: argparse.Namespace) -> GeneratorConfig:
@@ -196,7 +200,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    factories = [parse_policy_spec(spec) for spec in args.policies]
+    try:
+        factories = [parse_policy_spec(spec) for spec in args.policies]
+        options = _runner_options(args)
+    except ValueError as error:
+        return _usage_error(error)
     if args.fused:
         try:
             if args.trace_dir is not None:
@@ -216,20 +224,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             results = simulate_streamed(
                 _workload_config(args),
                 factories,
-                options=_runner_options(args),
+                options=options,
                 chunk_apps=args.chunk_apps,
                 gen_workers=args.gen_workers,
             )
         except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+            return _usage_error(error)
         baseline = f"fixed-{BASELINE_KEEPALIVE_MINUTES:g}min"
         if baseline not in results:
             baseline = next(iter(results))
         comparison = PolicyComparison(results=results, baseline_name=baseline)
     else:
         workload = _build_workload(args)
-        runner = WorkloadRunner(workload, _runner_options(args))
+        runner = WorkloadRunner(workload, options)
         comparison = runner.compare(factories, baseline_name=None)
     print(comparison.as_text_table())
     mode_usage = comparison.mode_usage_table()
@@ -240,12 +247,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.policies:
-        factories = [parse_policy_spec(spec) for spec in args.policies]
-    else:
-        factories = combined_figure_factories(args.figures)
+    try:
+        if args.policies:
+            factories = [parse_policy_spec(spec) for spec in args.policies]
+        else:
+            factories = combined_figure_factories(args.figures)
+        options = _runner_options(args)
+    except ValueError as error:
+        return _usage_error(error)
     workload = _build_workload(args)
-    options = _runner_options(args)
     runner = WorkloadRunner(workload, options)
 
     groups = runner.sweep_groups(factories)
@@ -264,8 +274,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         results = runner.run_policies(factories)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     elapsed = time.perf_counter() - start
 
     baseline = f"fixed-{BASELINE_KEEPALIVE_MINUTES:g}min"
@@ -344,8 +353,7 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
             rng_scheme=args.rng_scheme,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     start = time.perf_counter()
 
     def progress(apps_done: int, num_apps: int) -> None:
@@ -489,8 +497,11 @@ def _compose_fault_scenarios(
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    try:
+        factories = [parse_policy_spec(spec) for spec in args.policies]
+    except ValueError as error:
+        return _usage_error(error)
     workload = _build_workload(args)
-    factories = [parse_policy_spec(spec) for spec in args.policies]
     if args.sample_apps:
         workload = sample_mid_range_apps(
             workload, num_apps=args.sample_apps, seed=args.seed
@@ -528,8 +539,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     print(
         f"replay campaign: {len(factories)} polic{'y' if len(factories) == 1 else 'ies'}"
         f" x {len(scenarios)} scenario(s) x {args.seeds} seed(s) = "
@@ -554,7 +564,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_daily_rate=args.max_daily_rate,
     )
-    context = ExperimentContext(scale=scale, runner_options=_runner_options(args))
+    try:
+        options = _runner_options(args)
+    except ValueError as error:
+        return _usage_error(error)
+    context = ExperimentContext(scale=scale, runner_options=options)
     requested = experiment_ids() if args.experiment == ["all"] else args.experiment
     unknown = [e for e in requested if e not in experiment_ids()]
     if unknown:

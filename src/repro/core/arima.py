@@ -23,7 +23,7 @@ simpler model, ending at the series mean.
 All numerics are delegated to the stacked kernels in
 :mod:`repro.core.arima_batch` with a leading batch dimension of one, so a
 scalar fit and a row of a batched fit are the *same* float operations —
-the batched hot paths (banked hybrid policy, sweep memo) stay bit-exact
+the batched hot path (the hybrid family's forecast memo) stays bit-exact
 against this scalar reference by construction.
 """
 

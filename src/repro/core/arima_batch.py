@@ -1,8 +1,8 @@
 """Stacked-window (batched) Hannan-Rissanen ARIMA fitting.
 
 The scalar model in :mod:`repro.core.arima` fits one series at a time;
-the banked hybrid policy and the sweep-engine memo routinely need the
-same fit for *hundreds of rows per step* (every row selected by the
+the hybrid family evaluator's forecast memo routinely needs the same fit
+for *hundreds of histories at once* (every invocation selected by the
 out-of-bounds mask).  This module lowers the whole procedure — the long
 autoregression, the stage-2 least squares, the AIC grid search of
 :func:`~repro.core.arima.auto_arima`, and the one-step forecast — to
@@ -16,8 +16,8 @@ kernels with a leading batch dimension of one, and numpy's batched
 ``pinv`` / ``einsum`` / reductions produce bit-identical per-slice
 results regardless of the leading batch size.  A batched fit over R
 histories therefore *is* the R scalar fits, to the last bit — which is
-what lets the banked policy keep its exact-cold-start equivalence locks
-while replacing the per-row Python loop.
+what lets the family evaluator keep its exact-cold-start equivalence
+locks while replacing the per-row Python loop.
 
 Least squares is solved via the SVD pseudo-inverse (``np.linalg.pinv``)
 rather than ``lstsq``: ``pinv`` is a gufunc (it broadcasts over the

@@ -10,13 +10,13 @@ keeps the application alive for a small margin around it (15% by default).
 
 Two shapes of the same computation live here.  :class:`IdleTimeForecaster`
 is the scalar per-application model the paper describes; the module-level
-:func:`forecast_idle_times` / :func:`decide_idle_times` batch it across
-many applications at once via the stacked kernels in
-:mod:`repro.core.arima_batch` (histories grouped by length, one stacked
-Hannan-Rissanen grid search per group).  Because the scalar model
-delegates to the same kernels as a batch of one, the batched decisions
-are bit-identical to looping the scalar forecaster row by row — the
-banked hybrid policy and the sweep memo rely on that exactness.
+:func:`forecast_idle_times` batches it across many applications at once
+via the stacked kernels in :mod:`repro.core.arima_batch` (histories
+grouped by length, one stacked Hannan-Rissanen grid search per group).
+Because the scalar model delegates to the same kernels as a batch of
+one, the batched forecasts are bit-identical to looping the scalar
+forecaster row by row — the hybrid family evaluator's forecast memo
+relies on that exactness.
 """
 
 from __future__ import annotations
@@ -81,28 +81,6 @@ def forecast_idle_times(histories: Sequence[np.ndarray]) -> np.ndarray:
                 )
                 predictions[j] = forecaster.predict_next_idle_time()[0]
     return predictions
-
-
-def decide_idle_times(
-    histories: Sequence[np.ndarray],
-    *,
-    margin: float = 0.15,
-    minimum_keepalive_minutes: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-warm / keep-alive windows for many applications at once.
-
-    The batched counterpart of :meth:`IdleTimeForecaster.decide`: the
-    pre-warming window elapses just before the predicted invocation and
-    the keep-alive window covers the margin on both sides of it.
-
-    Returns:
-        ``(prewarm_minutes, keepalive_minutes)`` arrays aligned with
-        ``histories``.
-    """
-    predictions = forecast_idle_times(histories)
-    prewarm = np.maximum(predictions * (1.0 - margin), 0.0)
-    keepalive = np.maximum(2.0 * margin * predictions, minimum_keepalive_minutes)
-    return prewarm, keepalive
 
 
 @dataclass(frozen=True)

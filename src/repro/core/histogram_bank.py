@@ -1,9 +1,10 @@
 """Struct-of-arrays bank of idle-time histograms (one row per application).
 
 :class:`~repro.core.histogram.IdleTimeHistogram` keeps one application's
-idle-time distribution; the banked simulation engine needs the state of
-*every* application at once so that one numpy operation can update or
-query all of them.  :class:`HistogramBank` is the struct-of-arrays twin:
+idle-time distribution; the hybrid family evaluator
+(:mod:`repro.simulation.sweep_engine`) needs the state of *every*
+application at once so that one numpy operation can update or query all
+of them.  :class:`HistogramBank` is the struct-of-arrays twin:
 
 * per-row bin counts for a 2D ``(num_apps, num_bins)`` layout, stored as
   **running cumulative counts with a per-row offset baked in** (see
@@ -14,8 +15,8 @@ query all of them.  :class:`HistogramBank` is the struct-of-arrays twin:
   exact ``remove``/``add`` update sequence of
   :class:`~repro.core.welford.Welford.replace` so every row's statistics
   are bit-identical to a scalar histogram fed the same observations;
-* vectorized head/tail percentile cutoffs over arbitrary row subsets and
-  over row prefixes (the hot path of the banked policy).
+* vectorized percentile bins over row prefixes (the hot path of the
+  hybrid family's recording pass).
 
 Storage layout
 --------------
@@ -33,7 +34,7 @@ counts are integers, so ``count(cum < target) == count(cum < ceil(target))``.
 All float arithmetic mirrors the scalar code operation for operation, so
 a bank row and a scalar :class:`IdleTimeHistogram` that observe the same
 idle times agree on every derived quantity down to the last bit — the
-property the bank-equivalence test suite locks down.
+property ``TestHistogramBankEquivalence`` locks down.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class HistogramBank:
         self._oob_count = np.zeros(self._num_apps, dtype=np.int64)
         self._total_count = np.zeros(self._num_apps, dtype=np.int64)
         self._row_indices = np.arange(self._num_apps, dtype=np.intp)
-        # Lowest row index with any out-of-bounds observation: every row
-        # below this bound has a zero OOB count, which lets callers skip
-        # OOB-dependent work for row prefixes that never went out of range.
-        self._min_oob_row = self._num_apps
         # Per-row Welford state over the bin counts.  A fresh scalar
         # histogram seeds its accumulator with num_bins zeros, which yields
         # exactly (count=num_bins, mean=0, m2=0); the count never changes
@@ -136,16 +133,6 @@ class HistogramBank:
         """Per-row number of observations recorded inside the range."""
         return self._total_count - self._oob_count
 
-    @property
-    def min_oob_row(self) -> int:
-        """Lowest row index with any OOB observation (``num_apps`` if none)."""
-        return self._min_oob_row
-
-    @property
-    def metadata_bytes(self) -> int:
-        """Approximate per-application metadata size (4 bytes per bin)."""
-        return 4 * self._num_bins
-
     def counts_row(self, row: int) -> np.ndarray:
         """One row's per-bin counts (reconstructed from the cumulative row)."""
         return np.diff(self._cum[row], prepend=self._offsets[row])
@@ -179,7 +166,6 @@ class HistogramBank:
         rows_oob = rows[~in_bounds]
         if rows_oob.size:
             self._oob_count[rows_oob] += 1
-            self._min_oob_row = min(self._min_oob_row, int(rows_oob.min()))
         rows_in = rows[in_bounds]
         if rows_in.size:
             # Same truncation as the scalar bin_index: int() toward zero.
@@ -193,12 +179,12 @@ class HistogramBank:
     def observe_prefix(self, idle_times_minutes: np.ndarray) -> np.ndarray:
         """Record one idle time for each of the first ``len(idle)`` rows.
 
-        Prefix fast path of :meth:`observe` used by the grouped-stepping
-        loop: row ``k`` receives ``idle_times_minutes[k]``, and the caller
-        guarantees non-negative idle times (bank stepping derives them
-        from monotonicity-checked timestamps).  The per-element arithmetic
-        is identical to :meth:`observe`; only the row-index bookkeeping is
-        cheaper.
+        Prefix fast path of :meth:`observe` used by the lockstep
+        recording loop: row ``k`` receives ``idle_times_minutes[k]``, and
+        the caller guarantees non-negative idle times (the recording pass
+        derives them from validated, sorted timestamps).  The per-element
+        arithmetic is identical to :meth:`observe`; only the row-index
+        bookkeeping is cheaper.
 
         Returns:
             Boolean array: True where the idle time landed inside the
@@ -215,7 +201,6 @@ class HistogramBank:
         else:
             oob = ~in_bounds
             self._oob_count[:n][oob] += 1
-            self._min_oob_row = min(self._min_oob_row, int(np.argmax(oob)))
             rows_in = self._row_indices[:n][in_bounds]
             idle_in = idle[in_bounds]
             prefix = False
@@ -317,22 +302,6 @@ class HistogramBank:
     # ------------------------------------------------------------------ #
     # Derived statistics
     # ------------------------------------------------------------------ #
-    @property
-    def oob_fraction(self) -> np.ndarray:
-        """Per-row fraction of observations that were out of bounds.
-
-        Rows with no observations report 0.0, like the scalar histogram.
-        """
-        denominator = np.maximum(self._total_count, 1)
-        return np.where(
-            self._total_count > 0, self._oob_count / denominator, 0.0
-        )
-
-    @property
-    def bin_count_cv(self) -> np.ndarray:
-        """Per-row coefficient of variation of the bin counts."""
-        return self.bin_count_cv_prefix(self._num_apps)
-
     def bin_count_cv_prefix(self, n: int) -> np.ndarray:
         """CV of the bin counts for the first ``n`` rows only."""
         nb = self._num_bins
@@ -346,68 +315,6 @@ class HistogramBank:
         cv = np.where(zero_mean, np.where(m2 == 0.0, 0.0, np.inf), cv)
         return cv
 
-    def head_tail_cutoffs(
-        self, rows: np.ndarray, head_percentile: float, tail_percentile: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Head (rounded down) and tail (rounded up) cutoffs for row subsets.
-
-        Matches :meth:`IdleTimeHistogram.head_cutoff` /
-        :meth:`~IdleTimeHistogram.tail_cutoff` bit for bit: the weighted
-        percentile bin is located on the cumulative in-bounds counts, the
-        head maps to the bin's lower edge and the tail to its upper edge.
-
-        Raises:
-            ValueError: When a percentile is outside ``[0, 100]`` or a
-                selected row has no in-bounds observations.
-        """
-        if not 0 <= head_percentile <= 100 or not 0 <= tail_percentile <= 100:
-            raise ValueError("percentile must be within [0, 100]")
-        rows = np.asarray(rows, dtype=np.intp)
-        in_bounds = self._total_count[rows] - self._oob_count[rows]
-        if np.any(in_bounds == 0):
-            raise ValueError("histogram has no in-bounds observations")
-        cumulative = self._cum[rows] - self._offsets[rows, None]
-
-        def percentile_bin(q: float) -> np.ndarray:
-            target = np.maximum(q / 100.0 * in_bounds, 1e-12)
-            index = np.count_nonzero(cumulative < target[:, None], axis=1)
-            return np.minimum(index, self._num_bins - 1)
-
-        head = percentile_bin(head_percentile) * self._bin_width
-        tail = (percentile_bin(tail_percentile) + 1) * self._bin_width
-        return head, tail
-
-    def head_tail_cutoffs_prefix(
-        self,
-        n: int,
-        head_percentile: float,
-        tail_percentile: float,
-        in_bounds: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Head/tail cutoffs for the first ``n`` rows, without validation.
-
-        The hot path of the banked policy: one exact integer
-        ``searchsorted`` over the flat cumulative view locates both
-        percentile bins of every row (see the module docstring for why
-        this is exact).  No per-call argument checks — the policy
-        validates its percentiles once.  Rows with no in-bounds
-        observations yield finite garbage instead of raising; the caller
-        masks them out.
-
-        Args:
-            n: Number of leading rows to compute cutoffs for.
-            head_percentile: Percentile mapped to its bin's lower edge.
-            tail_percentile: Percentile mapped to its bin's upper edge.
-            in_bounds: Optional precomputed per-row in-bounds counts for
-                the first ``n`` rows, to avoid recomputing them.
-        """
-        bins = self.percentile_bins_prefix(
-            n, (head_percentile, tail_percentile), in_bounds
-        )
-        head = bins[0] * self._bin_width
-        tail = (bins[1] + 1) * self._bin_width
-        return head, tail
-
     def percentile_bins_prefix(
         self,
         n: int,
@@ -418,11 +325,11 @@ class HistogramBank:
 
         Locates the weighted-percentile bin of every (percentile, row)
         pair with **one** exact integer :func:`numpy.searchsorted` over
-        the flat cumulative view — the batched form of the hot path, used
-        by the sweep engine to record every distinct cutoff percentile of
-        a policy family in one pass.  Same per-element arithmetic as
-        :meth:`head_tail_cutoffs_prefix` (which delegates here): target is
-        ``(q / 100) * in_bounds`` floored at 1e-12, integerized with
+        the flat cumulative view, used by the hybrid family evaluator to
+        record every distinct cutoff percentile of a family in one pass.
+        Same per-element arithmetic as
+        :meth:`~repro.core.histogram.IdleTimeHistogram.percentile`: target
+        is ``(q / 100) * in_bounds`` floored at 1e-12, integerized with
         ``ceil`` (exact, the cumulative counts are integers).  Rows with
         no in-bounds observations yield finite garbage instead of
         raising; the caller masks them out.

@@ -67,10 +67,6 @@ class HybridHistogramPolicy(KeepAlivePolicy):
             CV threshold of 2, 15% ARIMA margin).
     """
 
-    #: The banked execution route may replace per-application instances of
-    #: this policy with one HybridPolicyBank (repro.policies.bank).
-    supports_banked = True
-
     def __init__(self, config: HybridPolicyConfig | None = None) -> None:
         self.config = config or HybridPolicyConfig()
         self.name = f"hybrid-{self.config.histogram_range_minutes / 60:g}h"
@@ -108,14 +104,6 @@ class HybridHistogramPolicy(KeepAlivePolicy):
             "histogram_oob_fraction": self.histogram.oob_fraction,
             "histogram_bin_count_cv": self.histogram.bin_count_cv,
         }
-
-    def make_bank(self, num_apps: int) -> "HybridPolicyBank":
-        """Bank equivalent to ``num_apps`` fresh copies of this policy."""
-        # Imported lazily: repro.policies.bank imports this module's
-        # classes for scalar extraction, so a module-level import cycles.
-        from repro.policies.bank import HybridPolicyBank
-
-        return HybridPolicyBank(num_apps, self.config)
 
     def expected_interarrival_minutes(self) -> float | None:
         """Mean idle time from the IT histogram (predictive autoscaling).

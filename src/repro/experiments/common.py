@@ -51,10 +51,9 @@ class ExperimentContext:
     Attributes:
         scale: Sizing of the synthetic workload.
         runner_options: Simulation-engine options forwarded to every sweep
-            a driver runs (``execution=serial|vectorized|banked|parallel|auto``
-            plus the worker count); ``None`` uses the engine defaults
-            (``auto``: banked for the hybrid policy, closed-form for the
-            fixed family).
+            a driver runs (``execution=auto|serial|parallel`` plus the
+            worker count); ``None`` uses the engine defaults (``auto``:
+            every policy family evaluated in one shared-state pass).
     """
 
     scale: ExperimentScale = field(default_factory=ExperimentScale)

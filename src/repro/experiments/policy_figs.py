@@ -7,16 +7,17 @@ normalized wasted memory trade-offs, and always-cold application shares.
 
 Drivers forward ``context.runner_options`` to their sweeps, so the CLI's
 ``--execution``/``--workers``/``--sweep`` flags pick the simulation
-engine (serial, vectorized, banked, or parallel sharded) and the sweep
-routing for every figure.  Under the default ``auto`` routing each
-figure's policy family is evaluated in one shared-state pass by the
-sweep engine (:mod:`repro.simulation.sweep_engine`): the whole fixed
+route (family evaluators in process or sharded in parallel, or the
+serial scalar loop) and the sweep grouping for every figure.  Under the
+default ``auto`` routing each figure's policy family is evaluated in one
+shared-state pass by the sweep engine
+(:mod:`repro.simulation.sweep_engine`): the whole fixed
 keep-alive grid of Figure 14 in one closed-form scan, and the hybrid
 configurations behind Figures 16–19 from one shared histogram-update
 pass with per-configuration decision masks (ARIMA forecasts fitted once
 per application and reused across configurations).  ``--execution
-serial`` (or ``--sweep per-policy``) restores one reference run per
-configuration.
+serial`` runs the scalar reference loop once per configuration, and
+``--sweep per-policy`` evaluates each configuration as a family of one.
 """
 
 from __future__ import annotations

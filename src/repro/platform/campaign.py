@@ -461,6 +461,8 @@ class ReplayCampaign:
         self.seeds = tuple(int(s) for s in seeds)
         if not self.seeds:
             raise ValueError("campaign needs at least one seed")
+        if workers is not None and workers < 1:
+            raise ValueError("worker count must be at least 1")
         self.workers = workers
         check_unique_policy_names(self.policy_factories)
         _reject_duplicate_scenario_names(

@@ -2,12 +2,8 @@
 
 The simulator creates one policy instance per application.  A
 :class:`PolicyFactory` captures "which policy, with which parameters" and
-produces fresh instances on demand; for banked-capable policies it also
-builds the struct-of-arrays :class:`~repro.policies.bank.PolicyBank` that
-replaces per-application instances under the banked execution route
-(:attr:`PolicyFactory.supports_banked` / :meth:`PolicyFactory.make_bank`).
-Factories can also be parsed from compact string specs (used by the CLI
-and the experiment drivers), e.g.::
+produces fresh instances on demand.  Factories can also be parsed from
+compact string specs (used by the CLI and the experiment drivers), e.g.::
 
     "fixed:10"          a 10-minute fixed keep-alive policy
     "no-unloading"      the infinite keep-alive baseline
@@ -19,28 +15,25 @@ Sweep families
 Factories additionally declare which *policy family* they belong to and
 which configuration within that family they represent
 (:attr:`PolicyFactory.family` / :attr:`PolicyFactory.family_config`).
-The multi-configuration sweep engine
-(:mod:`repro.simulation.sweep_engine`) groups factories whose
-:attr:`PolicyFactory.sweep_key` matches and evaluates the whole group in
-one pass over the workload, sharing all trace-derived state (per-app
-idle gaps for the constant-keep-alive family; histogram contents, CV
-trajectories, and idle-time forecasts for the hybrid family).  A factory
-without family metadata is simply evaluated on its own — the capability
-is an optimization contract, never a requirement.
+Every non-serial run goes through a family evaluator
+(:mod:`repro.simulation.sweep_engine`): factories whose
+:attr:`PolicyFactory.sweep_key` matches are evaluated as one group in one
+pass over the workload, sharing all trace-derived state (per-app idle
+gaps for the constant-keep-alive family; histogram contents, CV
+trajectories, and idle-time forecasts for the hybrid family), and a
+single policy is a family of one.  A factory without family metadata
+runs through the scalar loop, one policy instance per application.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.policies.base import KeepAlivePolicy
 from repro.policies.fixed import FixedKeepAlivePolicy
 from repro.policies.no_unload import NoUnloadingPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.policies.bank import PolicyBank
 
 #: Family of policies whose decision is a constant ``(prewarm=0, K)`` pair
 #: (the fixed keep-alive grid plus the no-unloading bound, ``K = inf``).
@@ -66,9 +59,9 @@ class PolicyFactory:
             (:data:`FAMILY_CONSTANT_KEEPALIVE` /
             :data:`FAMILY_HYBRID_HISTOGRAM`).  Declaring a family is a
             contract: ``family_config`` must describe exactly the policy
-            ``builder`` creates, because the sweep engine evaluates the
-            configuration directly from the shared family state instead
-            of calling the builder per application.
+            ``builder`` creates, because the family evaluators compute the
+            configuration's decisions from the shared family state; only
+            the serial scalar loop calls the builder per application.
         family_config: Family-specific configuration of this factory (the
             keep-alive minutes, or the hybrid policy configuration).
     """
@@ -86,31 +79,14 @@ class PolicyFactory:
         return self.builder()
 
     @property
-    def supports_banked(self) -> bool:
-        """Whether this factory's policies support the banked engine route.
-
-        True when one struct-of-arrays
-        :class:`~repro.policies.bank.PolicyBank` (see :meth:`make_bank`)
-        can replace per-application instances of the policy.
-        """
-        return self.create().supports_banked
-
-    def make_bank(self, num_apps: int) -> "PolicyBank":
-        """Bank equivalent to ``num_apps`` fresh instances of the policy.
-
-        Only meaningful when :attr:`supports_banked` is True.
-        """
-        return self.create().make_bank(num_apps)
-
-    @property
     def sweep_key(self) -> tuple[Any, ...] | None:
         """Hashable key grouping factories that can share one sweep pass.
 
         Factories with equal keys form one *shareable family*: the sweep
         engine (:mod:`repro.simulation.sweep_engine`) evaluates them in a
         single pass over the workload, computing the trace-derived state
-        they have in common only once.  ``None`` marks the factory as
-        unshareable; it is then evaluated on its own.
+        they have in common only once.  ``None`` marks a factory without
+        a family evaluator; it runs through the scalar loop on its own.
         """
         if self.family is None or self.family_config is None:
             return None

@@ -2,43 +2,38 @@
 
 Execution engines
 -----------------
-Policy runs over a workload are routed through one of three engines,
-selected by the ``execution`` field of :class:`RunnerOptions` (see
+Policy runs over a workload go through one driver,
+:class:`SimulationEngine`; the ``execution`` field of
+:class:`RunnerOptions` selects how it evaluates them (see
 :mod:`repro.simulation.engine`):
 
+* ``auto`` (default) — every policy is evaluated by its family
+  evaluator (:mod:`repro.simulation.sweep_engine`): the constant
+  keep-alive grid in closed form over shared per-app gaps, and the hybrid
+  histogram policy from one shared histogram-recording pass.  A single
+  policy is a family of one.
+* ``parallel`` — the same evaluations, with applications sharded across
+  a ``fork`` worker pool (``workers`` option, default: all cores) and the
+  per-shard results reassembled in workload order, so output is
+  deterministic and independent of the worker count.
 * ``serial`` — the reference scalar loop: one
   :meth:`ColdStartSimulator.simulate_app` call per application, one
   ``policy.on_invocation`` call per invocation.  Slowest, and the ground
-  truth the other engines are tested against.
-* ``vectorized`` — for policies with
-  ``supports_vectorized = True`` (the fixed keep-alive family and
-  no-unloading), cold starts and wasted-memory minutes are computed in
-  closed form from numpy array arithmetic on the invocation timestamps
-  (:func:`simulate_constant_decision_app`), with no per-invocation Python
-  calls; other policies fall back to the scalar loop per application.
-* ``parallel`` — applications are sharded across a ``multiprocessing``
-  pool (``workers`` option, default: all cores) and the per-shard results
-  are reassembled in workload order, so output is deterministic and
-  independent of the worker count.  Each shard uses the vectorized fast
-  path where the policy supports it.
-* ``auto`` (default) — ``vectorized``, in-process.
+  truth the family evaluators are tested against.  Factories without
+  family metadata always take this route.
 
-Multi-policy runs additionally route through the **shared-state sweep
-engine** (:mod:`repro.simulation.sweep_engine`): policy families
-declared via :attr:`~repro.policies.registry.PolicyFactory.sweep_key`
-(the whole fixed keep-alive grid; hybrid configurations sharing one
-histogram geometry) are evaluated in a single pass over the workload,
-with per-configuration knobs applied as decision masks over the shared
-trace-derived state.  The ``sweep`` field of :class:`RunnerOptions`
-selects the routing.
+Multi-policy runs group factories that share a
+:attr:`~repro.policies.registry.PolicyFactory.sweep_key` (the whole fixed
+keep-alive grid; hybrid configurations sharing one histogram geometry)
+into one family evaluation, with per-configuration knobs applied as
+decision masks over the shared trace-derived state.  The ``sweep`` field
+of :class:`RunnerOptions` selects the grouping.
 
-``tests/simulation/test_engine_equivalence.py`` locks the engines
-together: all three produce identical cold-start counts and
-wasted-memory minutes (to 1e-9) for every registered policy family, and
-``tests/simulation/test_sweep_equivalence.py`` does the same for the
-sweep engine against independent per-configuration runs.
-:class:`ParallelWorkloadRunner` is a convenience wrapper pinning the
-parallel engine; ``benchmarks/test_bench_engine_speedup.py`` and
+``tests/simulation/test_engine_equivalence.py`` locks the routes
+together: identical cold-start counts and wasted-memory minutes (to
+1e-9) for every registered policy family, and
+``tests/simulation/test_sweep_equivalence.py`` does the same for
+multi-member families.  ``benchmarks/test_bench_engine_speedup.py`` and
 ``benchmarks/test_bench_sweep_speedup.py`` measure the speedups (see
 benchmarks/conftest.py for how to run them).
 """
@@ -53,7 +48,6 @@ from repro.simulation.engine import (
     EXECUTION_MODES,
     SWEEP_MODES,
     SimulationEngine,
-    simulate_constant_decision_app,
 )
 from repro.simulation.metrics import AggregateResult, AppSimResult, merge_results
 from repro.simulation.pareto import (
@@ -66,7 +60,6 @@ from repro.simulation.pareto import (
     trade_off_points,
 )
 from repro.simulation.runner import (
-    ParallelWorkloadRunner,
     PolicyComparison,
     RunnerOptions,
     WorkloadRunner,
@@ -103,7 +96,6 @@ __all__ = [
     "EXECUTION_MODES",
     "SWEEP_MODES",
     "SimulationEngine",
-    "simulate_constant_decision_app",
     "FactoryGroup",
     "SweepEngine",
     "check_unique_policy_names",
@@ -118,7 +110,6 @@ __all__ = [
     "interpolate_memory_at_cold_start",
     "pareto_frontier",
     "trade_off_points",
-    "ParallelWorkloadRunner",
     "PolicyComparison",
     "RunnerOptions",
     "WorkloadRunner",

@@ -48,7 +48,7 @@ def simulate_streamed(
         factories: Policy factories, as accepted by
             :meth:`~repro.simulation.runner.WorkloadRunner.run_policies`.
         options: Engine options applied to every chunk (any execution
-            route: serial, vectorized, banked, parallel, auto).
+            route: auto, parallel, serial).
         chunk_apps: Applications generated and simulated per chunk — the
             streaming memory high-water mark.
         gen_workers: Parallel generation worker processes.

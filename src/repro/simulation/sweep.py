@@ -7,8 +7,8 @@ experiment drivers in :mod:`repro.experiments` format these results into
 the paper's tables and series.
 
 Every sweep accepts a :class:`RunnerOptions` whose ``execution`` field
-selects the simulation engine (``serial``/``vectorized``/``banked``/
-``parallel``/``auto``, see :mod:`repro.simulation.engine`); e.g.
+selects the simulation route (``auto``/``parallel``/``serial``, see
+:mod:`repro.simulation.engine`); e.g.
 ``sweep_fixed_keepalive(workload, options=RunnerOptions(execution="parallel"))``
 shards the fixed-policy family across all cores.
 
@@ -20,8 +20,9 @@ pass over shared per-app gaps, and hybrid configurations sharing a
 histogram geometry (all of Figures 16–19) share one histogram-update
 pass, with per-configuration cutoffs/CV thresholds evaluated as decision
 masks and ARIMA forecasts fitted once per application.  Pass
-``RunnerOptions(sweep="per-policy")`` to restore the one-run-per-
-configuration reference behaviour.
+``RunnerOptions(sweep="per-policy")`` to evaluate each configuration as
+a family of one, or ``RunnerOptions(execution="serial")`` for the scalar
+reference loop.
 
 :func:`figure_factories` exposes each figure's default factory list (and
 :func:`combined_figure_factories` their deduplicated union) for the
@@ -117,11 +118,10 @@ def _run(
 ) -> SweepResult:
     """Run factories plus the normalization baseline over the workload.
 
-    Execution (serial / vectorized / parallel) is governed by
-    ``options.execution``; the runner routes every policy through the
-    corresponding engine of :mod:`repro.simulation.engine`, and
-    shareable policy families through the sweep engine
-    (:mod:`repro.simulation.sweep_engine`) per ``options.sweep``.
+    Execution (auto / parallel / serial) is governed by
+    ``options.execution`` (:mod:`repro.simulation.engine`), and the
+    grouping of shareable policy families by ``options.sweep``
+    (:mod:`repro.simulation.sweep_engine`).
     Duplicate factory names raise ``ValueError`` (results are keyed by
     name and would silently overwrite each other).
     """

@@ -1,55 +1,53 @@
-"""Shared-state sweep engine: evaluate whole policy families in one pass.
+"""Policy-family evaluators, and the sweep layer that groups factories.
 
-The paper's headline results (Figures 14-19) are parameter sweeps, and a
-sweep's configurations share almost all of their work:
+Every non-serial policy run is a *family* evaluation: the configurations
+of a family share their trace-derived state, and a single policy is a
+family of one.
 
 * every **constant-keep-alive** policy (the fixed grid of Figure 14 plus
   the no-unloading bound) sees the same per-application idle gaps — only
   the window length ``K`` changes.  :func:`_evaluate_constant_family`
-  resolves the flat timestamp columns once and broadcasts the whole
-  keep-alive grid against them, reproducing
-  :func:`~repro.simulation.engine.simulate_constant_decision_app` bit for
-  bit per configuration.
+  resolves the flat timestamp columns once and evaluates each ``K`` in
+  closed form against them, with the per-term float operations of the
+  scalar simulator.
 * every **hybrid histogram** policy with one histogram geometry (range
   and bin width) shares its trace-derived state: histogram contents, the
   bin-count CV trajectory, and the idle-time (ARIMA) forecasts depend
   only on the trace, never on the cutoff/pre-warming/CV knobs — the
   knobs only select *which decision* is made from that state.
   :func:`_record_hybrid_family` therefore steps the workload through one
-  :class:`~repro.core.histogram_bank.HistogramBank` (the same
-  longest-first lockstep prefix protocol as the banked engine, with the
-  same scalar drain for the few longest applications) and records, per
-  invocation, the CV and the percentile bin of every distinct cutoff
-  percentile any configuration uses.  Each configuration is then
-  evaluated as pure decision *masks* over those recordings — flat
-  vectorized passes with no per-step loop — and ARIMA forecasts are
+  :class:`~repro.core.histogram_bank.HistogramBank` (longest application
+  first, in lockstep prefixes, with a scalar drain for the few longest
+  applications) and records, per invocation, the CV and the percentile
+  bin of every distinct cutoff percentile any configuration uses.  Each
+  configuration is then evaluated as pure decision *masks* over those
+  recordings — flat vectorized passes with no per-step loop, in two
+  scratch buffers shared by the whole family — and ARIMA forecasts are
   computed lazily, once per (application, invocation), and reused by
   every configuration that triggers them (:class:`_ArimaForecastMemo`).
 
-Because the recorded quantities are bit-identical to what each
-configuration's own banked (or scalar) run would have computed — the
-bank-equivalence suite locks the shared machinery down — the sweep
-engine's per-configuration results match independent per-configuration
-runs exactly on cold-start counts and within 1e-9 on wasted memory
-(``tests/simulation/test_sweep_equivalence.py``).
+The recorded quantities are bit-identical to what a scalar hybrid policy
+computes at each decision point (``TestHistogramBankEquivalence`` locks
+the shared histogram machinery down), so every configuration's results
+match the serial scalar loop exactly on cold-start counts and within
+1e-9 on wasted memory (``tests/simulation/test_sweep_equivalence.py``
+and ``tests/simulation/test_engine_equivalence.py``).
 
-:class:`SweepEngine` is the routing layer: it groups a factory list by
-:attr:`~repro.policies.registry.PolicyFactory.sweep_key`, runs each
-shareable family through the matching evaluator (sharding applications
-across a ``fork`` worker pool under ``execution="parallel"``), and falls
-back to :class:`~repro.simulation.engine.SimulationEngine` per policy
-for unshareable factories and singleton groups.
+:class:`SweepEngine` is the multi-policy layer: it groups a factory list
+by :attr:`~repro.policies.registry.PolicyFactory.sweep_key` and hands
+each group to the engine's single driver
+(:meth:`~repro.simulation.engine.SimulationEngine.run_group`), which
+walks chunks or parallel shards and calls :func:`evaluate_family` once
+per application range.
 :meth:`~repro.simulation.runner.WorkloadRunner.run_policies` — and
 therefore every ``sweep_*`` function and experiment driver — routes
 through it; the ``sweep`` field of
-:class:`~repro.simulation.engine.RunnerOptions` selects the behaviour
-(``auto`` / ``family`` / ``per-policy``).
+:class:`~repro.simulation.engine.RunnerOptions` selects the grouping
+(``auto`` / ``per-policy``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -63,27 +61,29 @@ from repro.policies.registry import (
     FAMILY_HYBRID_HISTOGRAM,
     PolicyFactory,
 )
-from repro.simulation.coldstart import DEFAULT_SCALAR_DRAIN_THRESHOLD
-from repro.core.pool import fork_pool_map
-from repro.simulation.engine import (
-    SimulationEngine,
-    _AppWorkItem,
-)
 from repro.simulation.metrics import AggregateResult, AppSimResult, merge_results
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only (the engine imports us)
     from repro.simulation.coldstart import ColdStartSimulator
+    from repro.simulation.engine import SimulationEngine, _AppWorkItem
 
 __all__ = [
     "FactoryGroup",
     "SweepEngine",
     "check_unique_policy_names",
+    "evaluate_family",
     "group_factories",
 ]
 
 #: Zero-count mode counters reported for hybrid-family applications with
-#: no invocations, matching what a fresh bank row reports.
+#: no invocations, matching what a fresh scalar policy reports.
 _EMPTY_HYBRID_MODES = {"histogram": 0, "standard": 0, "arima": 0}
+
+#: Below this many still-active applications the hybrid recording pass
+#: drains the remainder through scalar histograms: per-step numpy
+#: dispatch overhead exceeds the scalar per-invocation cost once only a
+#: handful of (necessarily long) applications are left.
+DEFAULT_SCALAR_DRAIN_THRESHOLD = 8
 
 
 def check_unique_policy_names(factories: Sequence[PolicyFactory]) -> None:
@@ -158,20 +158,18 @@ def group_factories(
 
 
 class SweepEngine:
-    """Routes multi-policy runs through shared-state family evaluators.
+    """Groups multi-policy runs into families for the engine's driver.
 
     Args:
-        engine: The single-policy engine whose workload, options, and
-            simulator conventions the sweep shares.  Unshareable factories
-            and singleton groups are delegated straight to it.
+        engine: The engine whose workload, options, and driver
+            (:meth:`~repro.simulation.engine.SimulationEngine.run_group`)
+            every group runs through.
     """
 
-    def __init__(self, engine: SimulationEngine) -> None:
+    def __init__(self, engine: "SimulationEngine") -> None:
         self._engine = engine
         self.options = engine.options
-        self._simulator = engine.simulator
 
-    # ------------------------------------------------------------------ #
     def run_policies(
         self,
         factories: Sequence[PolicyFactory],
@@ -181,6 +179,8 @@ class SweepEngine:
         """Evaluate several policies, sharing state within policy families.
 
         Returns results keyed by factory name, in input order.
+        ``progress(name, done, total)`` is called once per policy, when
+        its group has finished.
 
         Raises:
             ValueError: When two factories share a name (results would
@@ -190,135 +190,35 @@ class SweepEngine:
         check_unique_policy_names(factories)
         results: dict[str, AggregateResult] = {}
         for group in group_factories(factories, enabled=self.family_sharing_enabled()):
-            if group.key is None or len(group.factories) < 2:
-                for factory in group.factories:
-                    per_policy_progress = None
-                    if progress is not None:
-
-                        def per_policy_progress(done, total, name=factory.name):
-                            progress(name, done, total)
-
-                    results[factory.name] = self._engine.run_policy(
-                        factory, progress=per_policy_progress
-                    )
-                continue
-            for name, app_results in self._run_family(group).items():
+            for name, app_results in self._engine.run_group(group.factories).items():
                 results[name] = merge_results(name, app_results)
                 if progress is not None:
                     progress(name, len(app_results), len(app_results))
         return {factory.name: results[factory.name] for factory in factories}
 
     def family_sharing_enabled(self) -> bool:
-        """Whether shareable groups are evaluated through family passes.
+        """Whether shareable factories are grouped into multi-member families.
 
-        ``sweep="auto"`` shares under the ``auto`` and ``parallel``
-        execution modes; an explicit single-engine request (``serial``,
-        ``vectorized``, ``banked``) keeps the per-policy routing so those
-        modes stay exact references.  ``"family"`` / ``"per-policy"``
-        force the decision either way.
+        ``sweep="auto"`` groups under the ``auto`` and ``parallel``
+        execution modes.  ``sweep="per-policy"`` evaluates each factory as
+        a family of one, and ``execution="serial"`` runs every factory
+        through the scalar reference loop, one at a time.
         """
-        if self.options.sweep == "family":
-            return True
-        if self.options.sweep == "per-policy":
-            return False
-        return self.options.execution in ("auto", "parallel")
+        return self.options.sweep == "auto" and self.options.execution != "serial"
 
-    # ------------------------------------------------------------------ #
-    def _run_family(self, group: FactoryGroup) -> dict[str, list[AppSimResult]]:
-        """Evaluate one shareable family, sharding when running parallel.
 
-        Honours ``options.max_resident_bytes`` exactly like the
-        single-policy engine: the in-process evaluation walks the store in
-        budgeted application chunks (releasing mapped pages between
-        chunks), and each parallel shard stays within the budget.  Chunk
-        boundaries cannot change results — every recorded quantity is a
-        pure function of one application's own timestamps.
-        """
-        engine = self._engine
-        eligible = engine.eligible_app_count()
-        workers = self._resolve_workers(eligible)
-        if (
-            self.options.execution == "parallel"
-            and workers > 1
-            and eligible > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        ):
-            return self._run_family_sharded(group, workers)
-        bounds = engine.app_chunk_bounds()
-        if len(bounds) <= 1:
-            return self._evaluate_family_items(group, engine.work_items())
-        merged: dict[str, list[AppSimResult]] = {
-            factory.name: [] for factory in group.factories
-        }
-        for start, stop in bounds:
-            chunk = self._evaluate_family_items(
-                group, engine.work_items_range(start, stop)
-            )
-            for name, app_results in chunk.items():
-                merged[name].extend(app_results)
-            engine.release_mapped_pages()
-        return merged
-
-    def _resolve_workers(self, num_items: int) -> int:
-        workers = self.options.workers
-        if workers is None:
-            workers = os.cpu_count() or 1
-        return max(1, min(int(workers), max(num_items, 1)))
-
-    def _evaluate_family_items(
-        self, group: FactoryGroup, items: Sequence[_AppWorkItem]
-    ) -> dict[str, list[AppSimResult]]:
-        """Evaluate one family over a set of work items, in process."""
-        assert group.key is not None
-        if group.key[0] == FAMILY_CONSTANT_KEEPALIVE:
-            return _evaluate_constant_family(group.factories, items, self._simulator)
-        if group.key[0] == FAMILY_HYBRID_HISTOGRAM:
-            return _evaluate_hybrid_family(group.factories, items, self._simulator)
-        raise ValueError(f"unknown policy family {group.key[0]!r}")  # pragma: no cover
-
-    # ------------------------------------------------------------------ #
-    def _run_family_sharded(
-        self,
-        group: FactoryGroup,
-        workers: int,
-    ) -> dict[str, list[AppSimResult]]:
-        """Shard the family evaluation across a ``fork`` worker pool.
-
-        Applications are independent (each row's recordings and decisions
-        are pure functions of its own timestamps), so evaluating a family
-        over contiguous application ranges and concatenating per-config
-        results in range order reproduces the whole-workload evaluation
-        exactly, independent of the worker count.  Shards follow the
-        engine's parallel geometry (:meth:`SimulationEngine.shard_ranges`):
-        balanced by invocation count, split to ``max_resident_bytes``, and
-        resolved in each forked worker against a re-opened memory-mapped
-        store handle rather than the parent's columns.
-        """
-        engine = self._engine
-        ranges = engine.shard_ranges(workers)
-
-        def run_shard(shard_id: int) -> dict[str, list[AppSimResult]]:
-            start, stop = ranges[shard_id]
-            store = engine.worker_store()
-            result = self._evaluate_family_items(
-                group, engine.work_items_range(start, stop, store=store)
-            )
-            if self.options.max_resident_bytes is not None:
-                store.release_mapped_pages()
-            return result
-
-        # The engine's shared fork pool: the task closure (carrying the
-        # group's factories, which hold unpicklable closures) travels by
-        # fork, and the results come back ordered by shard index.
-        ordered = fork_pool_map(run_shard, len(ranges), workers)
-        merged: dict[str, list[AppSimResult]] = {
-            factory.name: [] for factory in group.factories
-        }
-        for shard_results in ordered:
-            assert shard_results is not None
-            for name, app_results in shard_results.items():
-                merged[name].extend(app_results)
-        return merged
+def evaluate_family(
+    factories: Sequence[PolicyFactory],
+    items: Sequence["_AppWorkItem"],
+    simulator: "ColdStartSimulator",
+) -> dict[str, list[AppSimResult]]:
+    """Evaluate factories sharing one sweep key over a set of work items."""
+    family = factories[0].family
+    if family == FAMILY_CONSTANT_KEEPALIVE:
+        return _evaluate_constant_family(factories, items, simulator)
+    if family == FAMILY_HYBRID_HISTOGRAM:
+        return _evaluate_hybrid_family(factories, items, simulator)
+    raise ValueError(f"unknown policy family {family!r}")  # pragma: no cover
 
 
 # --------------------------------------------------------------------------- #
@@ -326,18 +226,21 @@ class SweepEngine:
 # --------------------------------------------------------------------------- #
 def _evaluate_constant_family(
     factories: Sequence[PolicyFactory],
-    items: Sequence[_AppWorkItem],
+    items: Sequence["_AppWorkItem"],
     simulator: "ColdStartSimulator",
 ) -> dict[str, list[AppSimResult]]:
     """Evaluate the whole keep-alive grid against per-app gaps computed once.
 
-    The flat timestamp column, its per-invocation start/arrival views, and
-    the validation pass are shared by every configuration; each ``K`` then
-    costs a handful of flat array operations.  All per-term arithmetic —
-    including the app-contiguous slices fed to ``np.sum`` — is identical
-    to :func:`~repro.simulation.engine.simulate_constant_decision_app`, so
-    each configuration's results are bit-for-bit what its own vectorized
-    run produces.
+    An invocation is warm iff it arrives at or before the previous
+    window's expiry, and the idle loaded time of each gap is the part of
+    the window that elapsed before the next arrival, clipped to the
+    horizon.  The flat timestamp column, its per-invocation start/arrival
+    views, and the validation pass are shared by every configuration;
+    each ``K`` then costs a handful of flat array operations in one
+    reused buffer.  Every per-term float operation matches the scalar
+    simulator's; the terms are summed per application with numpy's
+    pairwise summation, so waste agrees with the scalar loop to well
+    within 1e-9.
     """
     horizon = simulator.horizon_minutes
     times_list = [simulator.validate_times(item.times) for item in items]
@@ -350,14 +253,20 @@ def _evaluate_constant_family(
         np.cumsum(counts[:-1], out=offsets[1:])
     starts = flat[:-1]
     arrivals = flat[1:]
+    # Window end, then effective end, then waste term per gap, in place.
+    terms = np.empty(starts.size, dtype=np.float64)
 
     results: dict[str, list[AppSimResult]] = {}
     for factory in factories:
         keepalive = float(factory.family_config)
-        window_end = starts + keepalive
-        cold_gap = arrivals > window_end
-        effective_end = np.minimum(np.minimum(window_end, arrivals), horizon)
-        waste_terms = np.maximum(effective_end - starts, 0.0)
+        np.add(starts, keepalive, out=terms)
+        # With a zero pre-warming window an arrival exactly at the expiry
+        # instant is still warm (PolicyDecision.covers).
+        cold_gap = arrivals > terms
+        np.minimum(terms, arrivals, out=terms)
+        np.minimum(terms, horizon, out=terms)
+        terms -= starts
+        np.maximum(terms, 0.0, out=terms)
         app_results: list[AppSimResult] = []
         for index, item in enumerate(items):
             n = int(counts[index])
@@ -379,7 +288,7 @@ def _evaluate_constant_family(
             cold_starts = int(np.count_nonzero(cold_gap[o : o + n - 1]))
             if simulator.first_invocation_cold:
                 cold_starts += 1
-            wasted = float(np.sum(waste_terms[o : o + n - 1]))
+            wasted = float(np.sum(terms[o : o + n - 1]))
             if simulator.count_tail_waste:
                 last = flat[o + n - 1]
                 tail_end = min(last + keepalive, horizon)
@@ -405,11 +314,13 @@ def _evaluate_constant_family(
 class _HybridFamilyRecording:
     """Per-invocation shared state of one hybrid family, in CSR layout.
 
-    Applications are ordered longest-first (the banked stepping order);
+    Applications are ordered longest-first (the lockstep stepping order);
     application ``r`` occupies flat positions ``[offsets[r],
     offsets[r] + counts[r])``, one per invocation in time order.  Every
-    recorded value is exactly what a scalar (or banked) hybrid policy of
-    this geometry observes at that invocation's decision point.
+    recorded value is exactly what a scalar hybrid policy of this
+    geometry observes at that invocation's decision point.  Bins and
+    counters are int32 (int64 only past 2**31 invocations): they are the
+    bulk of the recording, and int32 halves it.
     """
 
     order: np.ndarray  #: sorted row -> work-item index
@@ -425,7 +336,7 @@ class _HybridFamilyRecording:
 
 
 def _record_hybrid_family(
-    items: Sequence[_AppWorkItem],
+    items: Sequence["_AppWorkItem"],
     simulator: "ColdStartSimulator",
     range_minutes: float,
     bin_width_minutes: float,
@@ -434,15 +345,15 @@ def _record_hybrid_family(
 ) -> _HybridFamilyRecording:
     """One shared pass over the workload recording per-invocation state.
 
-    Mirrors the banked engine's grouped stepping: applications are
-    assigned rows longest-first and stepped in lockstep prefixes through
-    one :class:`HistogramBank`; once ``drain_threshold`` or fewer rows
+    Applications are assigned rows longest-first and stepped in lockstep
+    prefixes through one :class:`HistogramBank` (step ``k`` feeds the
+    ``k``-th idle time of every application that has one, so the active
+    set is always a row prefix).  Once ``drain_threshold`` or fewer rows
     remain active, each survivor is cloned into a scalar
     :class:`~repro.core.histogram.IdleTimeHistogram`
     (:meth:`HistogramBank.extract_row` preserves the exact Welford state)
     and recorded to the end through the scalar code path — both paths
-    produce bit-identical CV and percentile-bin trajectories, which the
-    bank-equivalence suite locks down.
+    produce bit-identical CV and percentile-bin trajectories.
     """
     num = len(items)
     times_list = [simulator.validate_times(item.times) for item in items]
@@ -461,10 +372,11 @@ def _record_hybrid_family(
     occupancy = np.bincount(counts_sorted, minlength=max_count + 1)
     active_per_step = num - np.cumsum(occupancy)[:max_count]
 
-    total_invocations = int(counts.sum())
+    total_invocations = int(flat.size)
+    counter_dtype = np.int32 if total_invocations < 2**31 else np.int64
     cv = np.zeros(total_invocations, dtype=np.float64)
     percentiles = list(percentiles)
-    bins = {q: np.zeros(total_invocations, dtype=np.int64) for q in percentiles}
+    bins = {q: np.zeros(total_invocations, dtype=np.int32) for q in percentiles}
     qs = np.asarray(percentiles, dtype=np.float64)
     qs_fraction = qs / 100.0
 
@@ -508,24 +420,24 @@ def _record_hybrid_family(
             bins[q][positions] = bin_matrix[qi]
 
     # Observation counters are pure gap counts; compute them flat instead
-    # of recording them.  total at decision k is k (one idle time per
-    # preceding gap); oob counts the gaps at or beyond the range, with
-    # exactly the ``idle < range`` comparison the histogram applies.
-    total = (
-        np.arange(total_invocations, dtype=np.int64)
-        - np.repeat(offsets, counts_sorted)
-        if total_invocations
-        else np.zeros(0, dtype=np.int64)
-    )
-    oob = np.zeros(total_invocations, dtype=np.int64)
+    # of recording them, each with one in-place cumsum over per-position
+    # steps that restart at every row's first position.  total at
+    # decision k is k (one idle time per preceding gap); oob counts the
+    # gaps at or beyond the range, with exactly the ``idle < range``
+    # comparison the histogram applies.
+    populated = int(np.count_nonzero(counts_sorted))
+    firsts = offsets[:populated]
+    total = np.ones(total_invocations, dtype=counter_dtype)
+    oob = np.zeros(total_invocations, dtype=counter_dtype)
     if total_invocations:
-        gaps = np.zeros(total_invocations, dtype=np.float64)
-        gaps[1:] = flat[1:] - flat[:-1]
-        gaps[offsets[counts_sorted > 0]] = 0.0
-        oob_flag = (gaps >= range_minutes).astype(np.int64)
-        cumulative = np.cumsum(oob_flag)
-        bases = np.repeat(cumulative[offsets[counts_sorted > 0]], counts_sorted[counts_sorted > 0])
-        oob = cumulative - bases
+        total[0] = 0
+        total[firsts[1:]] = 1 - counts_sorted[: populated - 1]
+        np.cumsum(total, out=total)
+        oob[1:] = (flat[1:] - flat[:-1]) >= range_minutes
+        oob[firsts] = 0
+        row_oob = np.add.reduceat(oob, firsts)
+        oob[firsts[1:]] = -row_oob[:-1]
+        np.cumsum(oob, out=oob)
     return _HybridFamilyRecording(
         order=order,
         counts=counts_sorted,
@@ -583,17 +495,13 @@ class _ArimaForecastMemo:
                 self._predictions[(int(positions[i]), max_history)] = prediction
         return out
 
-    def fitted_count(self) -> int:
-        """Number of distinct forecasts computed so far (for tests)."""
-        return len(self._predictions)
-
     def _history(self, position: int, max_history: int) -> np.ndarray:
         """Idle-time history backing the forecast at one flat position.
 
         The forecaster's history at decision step k is the last
         min(k, capacity) idle gaps, oldest first — reconstructed
-        directly from the timestamps, exactly the values the banked
-        ring (or the scalar deque) holds at that point.
+        directly from the timestamps, exactly the values the scalar
+        forecaster's deque holds at that point.
         """
         recording = self._recording
         row = int(np.searchsorted(recording.offsets, position, side="right") - 1)
@@ -605,20 +513,10 @@ class _ArimaForecastMemo:
             - recording.times[o + start - 1 : o + step]
         )
 
-    def _prediction(self, position: int, max_history: int) -> float:
-        """One position's forecast (cache-filling scalar-shaped lookup)."""
-        key = (position, max_history)
-        cached = self._predictions.get(key)
-        if cached is not None:
-            return cached
-        value = float(forecast_idle_times([self._history(position, max_history)])[0])
-        self._predictions[key] = value
-        return value
-
 
 def _evaluate_hybrid_family(
     factories: Sequence[PolicyFactory],
-    items: Sequence[_AppWorkItem],
+    items: Sequence["_AppWorkItem"],
     simulator: "ColdStartSimulator",
 ) -> dict[str, list[AppSimResult]]:
     """Evaluate every configuration of one hybrid family from one recording."""
@@ -641,8 +539,13 @@ def _evaluate_hybrid_family(
         percentiles,
     )
     memo = _ArimaForecastMemo(recording)
+    # Two float scratch buffers serve every configuration in turn.
+    prewarm = np.empty(recording.times.size, dtype=np.float64)
+    keepalive = np.empty(recording.times.size, dtype=np.float64)
     return {
-        factory.name: _evaluate_hybrid_config(recording, config, memo, items, simulator)
+        factory.name: _evaluate_hybrid_config(
+            recording, config, memo, items, simulator, prewarm, keepalive
+        )
         for factory, config in zip(factories, configs)
     }
 
@@ -651,51 +554,56 @@ def _evaluate_hybrid_config(
     recording: _HybridFamilyRecording,
     config,
     memo: _ArimaForecastMemo,
-    items: Sequence[_AppWorkItem],
+    items: Sequence["_AppWorkItem"],
     simulator: "ColdStartSimulator",
+    prewarm: np.ndarray,
+    keepalive: np.ndarray,
 ) -> list[AppSimResult]:
     """One configuration's decisions, cold starts, and waste from recordings.
 
-    Every float operation mirrors :class:`~repro.policies.bank.
-    HybridPolicyBank.on_invocations` (masks, margin arithmetic, the
-    no-pre-warming transform) and the banked stepping loop's cold/waste
-    terms, evaluated flat over all invocations at once instead of one
-    lockstep step at a time.  Decisions never depend on cold/warm
-    outcomes, so the flat evaluation is exact.
+    Every float operation mirrors the scalar
+    :class:`~repro.core.hybrid.HybridHistogramPolicy` (masks, margin
+    arithmetic, the no-pre-warming transform) and the scalar simulator's
+    cold/waste terms, evaluated flat over all invocations at once.
+    Decisions never depend on cold/warm outcomes, so the flat evaluation
+    is exact.  ``prewarm`` and ``keepalive`` are scratch buffers of one
+    float per invocation, overwritten in place: decision windows first,
+    then load intervals, then waste terms.
     """
     total = recording.total
     oob = recording.oob
-    in_bounds = total - oob
-    if config.enable_arima:
-        oob_fraction = np.where(total > 0, oob / np.maximum(total, 1), 0.0)
-        mask_arima = (total >= config.oob_min_observations) & (
-            oob_fraction > config.oob_fraction_threshold
-        )
-    else:
-        mask_arima = None
-    mask_histogram = (in_bounds >= config.min_observations) & (
-        recording.cv >= config.cv_threshold
-    )
-    if mask_arima is not None:
-        mask_histogram &= ~mask_arima
-        mask_standard = ~(mask_arima | mask_histogram)
-    else:
-        mask_standard = ~mask_histogram
-
     bin_width = recording.bin_width_minutes
-    head = recording.bins[config.head_percentile] * bin_width
-    tail = (recording.bins[config.tail_percentile] + 1) * bin_width
-    row_prewarm = head * (1.0 - config.prewarm_margin)
-    keepalive_end = tail * (1.0 + config.keepalive_margin)
-    row_prewarm = np.where(row_prewarm < bin_width, 0.0, row_prewarm)
-    row_keepalive = np.maximum(keepalive_end - row_prewarm, bin_width)
-    prewarm = np.where(mask_histogram, row_prewarm, 0.0)
-    keepalive = np.where(
-        mask_histogram, row_keepalive, config.histogram_range_minutes
-    )
+
+    # Decision masks; ``prewarm`` holds the in-bounds counts and then the
+    # OOB fraction (exact in float64) before it holds any window.
+    np.subtract(total, oob, out=prewarm)
+    mask_histogram = prewarm >= config.min_observations
+    mask_histogram &= recording.cv >= config.cv_threshold
+    mask_arima = None
+    if config.enable_arima:
+        prewarm.fill(0.0)
+        np.divide(oob, total, out=prewarm, where=total > 0)
+        mask_arima = prewarm > config.oob_fraction_threshold
+        mask_arima &= total >= config.oob_min_observations
+        mask_histogram &= ~mask_arima
+
+    # Histogram windows from the head/tail bins, then the standard
+    # keep-alive wherever the histogram is not in charge.
+    np.multiply(recording.bins[config.head_percentile], bin_width, out=prewarm)
+    prewarm *= 1.0 - config.prewarm_margin
+    np.add(recording.bins[config.tail_percentile], 1, out=keepalive)
+    keepalive *= bin_width
+    keepalive *= 1.0 + config.keepalive_margin
+    prewarm[prewarm < bin_width] = 0.0
+    keepalive -= prewarm
+    np.maximum(keepalive, bin_width, out=keepalive)
+    not_histogram = ~mask_histogram
+    prewarm[not_histogram] = 0.0
+    keepalive[not_histogram] = config.histogram_range_minutes
+    del not_histogram
 
     if mask_arima is not None and mask_arima.any():
-        positions = np.nonzero(mask_arima)[0]
+        positions = np.flatnonzero(mask_arima)
         predictions = memo.predictions(positions, config.arima_max_history)
         prewarm[positions] = np.maximum(
             predictions * (1.0 - config.arima_margin), 0.0
@@ -708,8 +616,18 @@ def _evaluate_hybrid_config(
         # "Hybrid No PW" (Figure 17): keep the tail-derived keep-alive but
         # never unload right after the execution.
         unloads = prewarm > 0
-        keepalive = np.where(unloads, prewarm + keepalive, keepalive)
-        prewarm = np.where(unloads, 0.0, prewarm)
+        np.add(prewarm, keepalive, out=keepalive, where=unloads)
+        prewarm[unloads] = 0.0
+        del unloads
+
+    # Each application's last decision governs its tail waste.
+    counts = recording.counts
+    offsets = recording.offsets
+    populated_rows = int(np.count_nonzero(counts))
+    firsts = offsets[:populated_rows]
+    lasts = firsts + counts[:populated_rows] - 1
+    last_prewarm = prewarm[lasts]
+    last_keepalive = keepalive[lasts]
 
     # Cold/warm outcomes and idle-loaded waste from consecutive decisions,
     # flat: position i's decision governs the gap to position i + 1 of the
@@ -717,42 +635,39 @@ def _evaluate_hybrid_config(
     # with the next application's first is masked off below).
     times = recording.times
     horizon = simulator.horizon_minutes
-    num_invocations = times.size
-    counts = recording.counts
-    offsets = recording.offsets
-    populated = counts > 0
-    first_positions = offsets[populated]
-    cold = np.zeros(num_invocations, dtype=bool)
-    terms = np.zeros(num_invocations, dtype=np.float64)
-    if num_invocations:
-        load_start = times + prewarm
-        load_end = load_start + keepalive
-        warm = (load_start[:-1] <= times[1:]) & (times[1:] <= load_end[:-1])
-        cold[1:] = ~warm
-        cold[first_positions] = simulator.first_invocation_cold
-        effective_end = np.minimum(np.minimum(load_end[:-1], times[1:]), horizon)
-        terms[1:] = np.maximum(effective_end - load_start[:-1], 0.0)
-        terms[first_positions] = 0.0
+    cold = np.zeros(times.size, dtype=bool)
+    terms = prewarm
+    if times.size:
+        prewarm += times  # load start
+        keepalive += prewarm  # load end
+        load_start, load_end, arrivals = prewarm[:-1], keepalive[:-1], times[1:]
+        np.less_equal(load_start, arrivals, out=cold[1:])
+        cold[1:] &= arrivals <= load_end
+        np.logical_not(cold[1:], out=cold[1:])
+        cold[firsts] = simulator.first_invocation_cold
+        np.minimum(load_end, arrivals, out=load_end)
+        np.minimum(load_end, horizon, out=load_end)
+        load_end -= load_start
+        np.maximum(load_end, 0.0, out=load_end)
+        # The waste of the gap ending at position i moves to position i.
+        terms[1:] = load_end
+        terms[firsts] = 0.0
 
-    num_rows = len(items)
-    populated_rows = int(np.count_nonzero(populated))
     if populated_rows:
-        starts = offsets[:populated_rows]
-        cold_counts = np.add.reduceat(cold.astype(np.int64), starts)
-        wasted = np.add.reduceat(terms, starts)
-        histogram_counts = np.add.reduceat(mask_histogram.astype(np.int64), starts)
-        standard_counts = np.add.reduceat(mask_standard.astype(np.int64), starts)
+        cold_counts = np.add.reduceat(cold, firsts, dtype=np.int64)
+        wasted = np.add.reduceat(terms, firsts)
+        histogram_counts = np.add.reduceat(mask_histogram, firsts, dtype=np.int64)
         if mask_arima is not None:
-            arima_counts = np.add.reduceat(mask_arima.astype(np.int64), starts)
+            arima_counts = np.add.reduceat(mask_arima, firsts, dtype=np.int64)
         else:
             arima_counts = np.zeros(populated_rows, dtype=np.int64)
 
-    results: list[AppSimResult | None] = [None] * num_rows
-    for row in range(num_rows):
-        item = items[int(recording.order[row])]
+    results: list[AppSimResult | None] = [None] * len(items)
+    for row, item_index in enumerate(recording.order.tolist()):
+        item = items[item_index]
         n = int(counts[row])
         if n == 0:
-            results[int(recording.order[row])] = AppSimResult(
+            results[item_index] = AppSimResult(
                 app_id=item.app_id,
                 invocations=0,
                 cold_starts=0,
@@ -761,27 +676,29 @@ def _evaluate_hybrid_config(
                 mode_counts=dict(_EMPTY_HYBRID_MODES),
             )
             continue
-        last = int(offsets[row]) + n - 1
+        last = int(lasts[row])
         wasted_minutes = float(wasted[row])
         if simulator.count_tail_waste:
             wasted_minutes += simulator.waste_between(
                 float(times[last]),
                 PolicyDecision(
-                    prewarm_minutes=float(prewarm[last]),
-                    keepalive_minutes=float(keepalive[last]),
+                    prewarm_minutes=float(last_prewarm[row]),
+                    keepalive_minutes=float(last_keepalive[row]),
                 ),
                 horizon,
             )
-        results[int(recording.order[row])] = AppSimResult(
+        histogram_decisions = int(histogram_counts[row])
+        arima_decisions = int(arima_counts[row])
+        results[item_index] = AppSimResult(
             app_id=item.app_id,
             invocations=n,
             cold_starts=int(cold_counts[row]),
             wasted_memory_minutes=wasted_minutes,
             memory_mb=item.memory_mb,
             mode_counts={
-                "histogram": int(histogram_counts[row]),
-                "standard": int(standard_counts[row]),
-                "arima": int(arima_counts[row]),
+                "histogram": histogram_decisions,
+                "standard": n - histogram_decisions - arima_decisions,
+                "arima": arima_decisions,
             },
             oob_idle_times=int(oob[last]),
         )

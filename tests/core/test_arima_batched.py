@@ -22,11 +22,7 @@ from repro.core.arima_batch import (
     auto_arima_forecast_stack,
     group_rows_by_length,
 )
-from repro.core.forecaster import (
-    IdleTimeForecaster,
-    decide_idle_times,
-    forecast_idle_times,
-)
+from repro.core.forecaster import IdleTimeForecaster, forecast_idle_times
 
 # Idle times are non-negative minutes; keep magnitudes workload-shaped.
 IDLE_VALUES = st.floats(
@@ -114,25 +110,6 @@ class TestForecasterBatchAPI:
                 continue
             expected = scalar_forecaster_prediction(history)
             assert value == expected or (np.isnan(value) and np.isnan(expected))
-
-    @given(
-        st.lists(st.lists(IDLE_VALUES, min_size=1, max_size=16), min_size=1, max_size=8),
-        st.floats(min_value=0.0, max_value=0.45),
-        st.floats(min_value=0.5, max_value=5.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_decisions_match_scalar_decide(self, histories, margin, min_keepalive):
-        histories = [np.asarray(h) for h in histories]
-        prewarm, keepalive = decide_idle_times(
-            histories, margin=margin, minimum_keepalive_minutes=min_keepalive
-        )
-        for history, p, k in zip(histories, prewarm, keepalive):
-            forecaster = IdleTimeForecaster.from_history(
-                history, margin=margin, max_history=max(len(history), 2)
-            )
-            result = forecaster.decide(minimum_keepalive_minutes=min_keepalive)
-            assert p == result.decision.prewarm_minutes
-            assert k == result.decision.keepalive_minutes
 
     def test_short_histories_use_the_mean(self):
         histories = [np.asarray([5.0]), np.asarray([2.0, 4.0, 6.0])]

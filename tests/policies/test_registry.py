@@ -108,21 +108,6 @@ class TestSpecParsing:
             parse_policy_spec("hybrid:240:99:5")
 
 
-class TestBankCapabilities:
-    def test_hybrid_factory_supports_banked(self):
-        factory = hybrid_factory(histogram_range_minutes=120.0)
-        assert factory.supports_banked
-        bank = factory.make_bank(3)
-        assert bank.num_apps == 3
-        assert bank.config.histogram_range_minutes == 120.0
-
-    def test_fixed_and_no_unloading_do_not_support_banked(self):
-        for factory in (fixed_keepalive_factory(10.0), no_unloading_factory()):
-            assert not factory.supports_banked
-            with pytest.raises(NotImplementedError):
-                factory.make_bank(2)
-
-
 class TestSweepFamilyCapability:
     def test_fixed_family_metadata(self):
         factory = fixed_keepalive_factory(45)

@@ -2,16 +2,23 @@
 
 The serial scalar loop (`ColdStartSimulator` driven one invocation at a
 time) is the reference implementation of the paper's Section 5.1
-methodology.  The vectorized fixed-policy fast path and the parallel
-sharded engine (:mod:`repro.simulation.engine`) exist purely for speed,
-so this suite pins them to the reference:
+methodology.  The family evaluators — every ``auto`` run, a single
+policy as a family of one — and the parallel sharded engine
+(:mod:`repro.simulation.engine`) exist purely for speed, so this suite
+pins them to the reference:
 
-* for seeded random workloads, every engine must produce cold-start
+* for seeded random workloads, every route must produce cold-start
   counts identical to the serial engine and wasted-memory minutes equal
   to within 1e-9, per application and in aggregate, for the fixed,
   no-unloading, and hybrid policy families;
+* the constant keep-alive family of one matches the scalar loop per
+  application, including empty, single-invocation, duplicate and
+  at-horizon streams and the serial engine's input validation;
 * edge cases (empty app, single invocation, duplicate timestamps,
   invocation exactly at the horizon) must agree exactly;
+* every route holds again under a ``max_resident_bytes`` budget small
+  enough to split the workload (and each parallel shard) into many
+  application chunks;
 * the parallel engine must be deterministic: 1, 2, and 4 workers yield
   byte-identical comparison tables.
 """
@@ -36,19 +43,19 @@ from repro.simulation.engine import (
     EXECUTION_MODES,
     RunnerOptions,
     SimulationEngine,
-    simulate_constant_decision_app,
+    _AppWorkItem,
 )
 from repro.simulation.metrics import AppSimResult
-from repro.simulation.runner import ParallelWorkloadRunner, WorkloadRunner
+from repro.simulation.runner import WorkloadRunner
+from repro.simulation.sweep_engine import evaluate_family
 from repro.trace.generator import GeneratorConfig, WorkloadGenerator
 from repro.trace.schema import Workload
 from tests.conftest import make_workload
 
 WASTE_TOLERANCE = 1e-9
 
-#: The policy families every engine must agree on.  The hybrid policy has
-#: no vectorized fast path, so it exercises the scalar-loop route of the
-#: vectorized and parallel engines.
+#: The policy families every engine must agree on, each run as a family
+#: of one by the non-serial routes.
 POLICY_FACTORIES: tuple[PolicyFactory, ...] = (
     fixed_keepalive_factory(0.0),
     fixed_keepalive_factory(10.0),
@@ -57,7 +64,19 @@ POLICY_FACTORIES: tuple[PolicyFactory, ...] = (
     hybrid_factory(),
 )
 
-ENGINES = tuple(mode for mode in EXECUTION_MODES if mode != "serial")
+#: A resident budget small enough to split every test workload into
+#: several application chunks (and each parallel shard further).
+CHUNK_BUDGET = 8 * 1024
+
+#: Every non-serial route through the engine's one driver, as
+#: ``(execution, max_resident_bytes)``: in process, sharded over the
+#: fork pool, and each again walking budget-sized application chunks.
+ROUTES = {
+    **{mode: (mode, None) for mode in EXECUTION_MODES if mode != "serial"},
+    "auto-chunked": ("auto", CHUNK_BUDGET),
+    "parallel-chunked": ("parallel", CHUNK_BUDGET),
+}
+ENGINES = tuple(ROUTES)
 
 
 def seeded_workload(seed: int, num_apps: int = 25) -> Workload:
@@ -73,16 +92,23 @@ def seeded_workload(seed: int, num_apps: int = 25) -> Workload:
 def run_engine(
     workload: Workload,
     factory: PolicyFactory,
-    execution: str,
+    route: str,
     *,
     workers: int | None = 2,
     min_invocations: int = 1,
+    use_memory_weights: bool = False,
 ):
+    execution, max_resident_bytes = ROUTES.get(route, (route, None))
     options = RunnerOptions(
         execution=execution,
         workers=workers if execution == "parallel" else None,
         min_invocations=min_invocations,
+        use_memory_weights=use_memory_weights,
+        max_resident_bytes=max_resident_bytes,
     )
+    if max_resident_bytes is not None:
+        # The budget must actually split the run, or the route proves nothing.
+        assert len(SimulationEngine(workload, options).app_chunk_bounds()) > 1
     return WorkloadRunner(workload, options).run_policy(factory)
 
 
@@ -120,23 +146,38 @@ class TestEngineEquivalenceOnRandomWorkloads:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_memory_weighted_runs_match(self, engine, two_app_workload):
         factory = fixed_keepalive_factory(20.0)
-        reference = WorkloadRunner(
-            two_app_workload, RunnerOptions(execution="serial", use_memory_weights=True)
-        ).run_policy(factory)
-        candidate = WorkloadRunner(
-            two_app_workload,
-            RunnerOptions(execution=engine, use_memory_weights=True, workers=2),
-        ).run_policy(factory)
+        reference = run_engine(
+            two_app_workload, factory, "serial", use_memory_weights=True
+        )
+        candidate = run_engine(
+            two_app_workload, factory, engine, use_memory_weights=True
+        )
         assert_results_equivalent(reference, candidate)
         assert candidate.total_wasted_memory_mb_minutes == pytest.approx(
             reference.total_wasted_memory_mb_minutes, rel=WASTE_TOLERANCE
         )
 
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_factory_without_family_runs_scalar_loop(self, engine):
+        # No family metadata means no family evaluator: every route falls
+        # back to the scalar loop, range by range, and still matches serial.
+        bare = PolicyFactory(name="custom-7min", builder=lambda: FixedKeepAlivePolicy(7.0))
+        assert bare.sweep_key is None
+        workload = seeded_workload(7)
+        reference = run_engine(workload, bare, "serial")
+        candidate = run_engine(workload, bare, engine)
+        assert_results_equivalent(reference, candidate)
+        family = run_engine(workload, fixed_keepalive_factory(7.0), engine)
+        assert [r.cold_starts for r in family.app_results] == [
+            r.cold_starts for r in candidate.app_results
+        ]
+
+
 # --------------------------------------------------------------------------- #
-# Closed-form fast path against the scalar simulator, per application
+# Constant keep-alive family of one against the scalar simulator, per app
 # --------------------------------------------------------------------------- #
-class TestVectorizedFastPathAgainstScalar:
+class TestConstantFamilyOfOneAgainstScalar:
     HORIZON = 1440.0
 
     def scalar(self, times, keepalive: float) -> AppSimResult:
@@ -148,14 +189,21 @@ class TestVectorizedFastPathAgainstScalar:
         assert isinstance(result, AppSimResult)
         return result
 
-    def vectorized(self, times, keepalive: float) -> AppSimResult:
-        return simulate_constant_decision_app(
-            "app", times, keepalive, horizon_minutes=self.HORIZON
+    def family_of_one(self, times, keepalive: float) -> AppSimResult:
+        factory = (
+            no_unloading_factory()
+            if math.isinf(keepalive)
+            else fixed_keepalive_factory(keepalive)
         )
+        item = _AppWorkItem(
+            app_id="app", times=np.asarray(times, dtype=float), memory_mb=1.0
+        )
+        simulator = ColdStartSimulator(self.HORIZON)
+        return evaluate_family([factory], [item], simulator)[factory.name][0]
 
     def assert_app_equal(self, times, keepalive: float) -> None:
         expected = self.scalar(times, keepalive)
-        actual = self.vectorized(times, keepalive)
+        actual = self.family_of_one(times, keepalive)
         assert actual.invocations == expected.invocations
         assert actual.cold_starts == expected.cold_starts
         assert actual.wasted_memory_minutes == pytest.approx(
@@ -173,7 +221,7 @@ class TestVectorizedFastPathAgainstScalar:
     @pytest.mark.parametrize("keepalive", [0.0, 10.0, math.inf])
     def test_empty_app(self, keepalive):
         self.assert_app_equal([], keepalive)
-        result = self.vectorized([], keepalive)
+        result = self.family_of_one([], keepalive)
         assert result.invocations == 0
         assert result.cold_starts == 0
         assert result.wasted_memory_minutes == 0.0
@@ -196,25 +244,25 @@ class TestVectorizedFastPathAgainstScalar:
 
     def test_arrival_exactly_at_window_expiry_is_warm(self):
         # PolicyDecision.covers treats the expiry instant as warm; the
-        # vectorized comparison must use the same closed boundary.
+        # closed-form comparison must use the same closed boundary.
         self.assert_app_equal([0.0, 10.0, 20.0], 10.0)
-        result = self.vectorized([0.0, 10.0, 20.0], 10.0)
+        result = self.family_of_one([0.0, 10.0, 20.0], 10.0)
         assert result.cold_starts == 1
 
     def test_zero_keepalive_only_duplicates_warm(self):
-        result = self.vectorized([1.0, 1.0, 2.0], 0.0)
+        result = self.family_of_one([1.0, 1.0, 2.0], 0.0)
         assert result.cold_starts == 2
         assert result.wasted_memory_minutes == 0.0
 
     def test_unsorted_input_rejected_like_scalar_engine(self):
         with pytest.raises(ValueError, match="sorted"):
-            self.vectorized([50.0, 0.0, 5.0], 10.0)
+            self.family_of_one([50.0, 0.0, 5.0], 10.0)
 
     def test_out_of_horizon_rejected_like_scalar_engine(self):
         with pytest.raises(ValueError, match="horizon"):
-            self.vectorized([10.0, self.HORIZON + 1.0], 10.0)
+            self.family_of_one([10.0, self.HORIZON + 1.0], 10.0)
         with pytest.raises(ValueError, match="horizon"):
-            self.vectorized([-1.0, 10.0], 10.0)
+            self.family_of_one([-1.0, 10.0], 10.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -264,7 +312,9 @@ class TestEdgeCaseWorkloads:
 # --------------------------------------------------------------------------- #
 class TestParallelDeterminism:
     def comparison_rows(self, workload: Workload, workers: int):
-        runner = ParallelWorkloadRunner(workload, workers=workers)
+        runner = WorkloadRunner(
+            workload, RunnerOptions(execution="parallel", workers=workers)
+        )
         comparison = runner.compare(
             [fixed_keepalive_factory(10.0), no_unloading_factory(), hybrid_factory()]
         )
@@ -281,11 +331,6 @@ class TestParallelDeterminism:
         assert repr(rows_by_workers[1]) == repr(rows_by_workers[2]) == repr(
             rows_by_workers[4]
         )
-
-    def test_parallel_runner_pins_execution(self, two_app_workload):
-        runner = ParallelWorkloadRunner(two_app_workload, workers=3)
-        assert runner.options.execution == "parallel"
-        assert runner.options.workers == 3
 
     def test_result_order_is_workload_order(self):
         workload = seeded_workload(3, num_apps=12)

@@ -32,10 +32,24 @@ def disk_round_trip(tmp_path, config, options):
     return WorkloadRunner(store, options).run_policies(factories())
 
 
-@pytest.mark.parametrize("route", ["serial", "vectorized", "banked", "parallel", "auto"])
+#: Every engine route as ``(execution, max_resident_bytes)``; the chunked
+#: routes walk budget-sized application ranges inside each fused chunk.
+ROUTES = {
+    "serial": ("serial", None),
+    "parallel": ("parallel", None),
+    "auto": ("auto", None),
+    "auto-chunked": ("auto", 8 * 1024),
+    "parallel-chunked": ("parallel", 8 * 1024),
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
 def test_fused_equals_disk_round_trip_per_route(tmp_path, route):
     config = GeneratorConfig(**SMALL, rng_scheme="v2")
-    options = RunnerOptions(execution=route, workers=2)
+    execution, max_resident_bytes = ROUTES[route]
+    options = RunnerOptions(
+        execution=execution, workers=2, max_resident_bytes=max_resident_bytes
+    )
     disk = disk_round_trip(tmp_path, config, options)
     fused = simulate_streamed(config, factories(), options=options, chunk_apps=5)
     assert disk.keys() == fused.keys()

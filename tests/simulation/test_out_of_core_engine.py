@@ -109,29 +109,27 @@ class TestChunkGeometry:
 
 
 class TestChunkedEquivalence:
-    @pytest.mark.parametrize("execution", ["serial", "auto", "banked"])
+    @pytest.mark.parametrize("execution", ["serial", "auto", "parallel"])
     @pytest.mark.parametrize("policy", ["fixed", "hybrid"])
     def test_chunked_matches_unchunked(self, workload, execution, policy):
         factory = (
             fixed_keepalive_factory(10.0) if policy == "fixed" else hybrid_factory()
         )
         reference = WorkloadRunner(
-            workload, RunnerOptions(execution=execution)
+            workload, RunnerOptions(execution=execution, workers=2)
         ).run_policy(factory)
         chunked = WorkloadRunner(
             workload,
-            RunnerOptions(execution=execution, max_resident_bytes=BUDGET),
+            RunnerOptions(execution=execution, workers=2, max_resident_bytes=BUDGET),
         ).run_policy(factory)
         assert result_rows(chunked) == result_rows(reference)
 
     def test_family_sweep_chunked_matches_unchunked(self, workload):
         factories = [fixed_keepalive_factory(k) for k in (5.0, 10.0, 60.0)]
         factories.append(hybrid_factory())
-        reference = WorkloadRunner(
-            workload, RunnerOptions(sweep="family")
-        ).run_policies(factories)
+        reference = WorkloadRunner(workload).run_policies(factories)
         chunked = WorkloadRunner(
-            workload, RunnerOptions(sweep="family", max_resident_bytes=BUDGET)
+            workload, RunnerOptions(max_resident_bytes=BUDGET)
         ).run_policies(factories)
         assert reference.keys() == chunked.keys()
         for name in reference:
@@ -195,17 +193,10 @@ class TestSharedMemoryShards:
 
     def test_family_sweep_sharded_over_mapped_store(self, mapped_store):
         factories = [fixed_keepalive_factory(k) for k in (5.0, 10.0, 60.0)]
-        reference = WorkloadRunner(
-            mapped_store, RunnerOptions(sweep="family")
-        ).run_policies(factories)
+        reference = WorkloadRunner(mapped_store).run_policies(factories)
         sharded = WorkloadRunner(
             mapped_store,
-            RunnerOptions(
-                execution="parallel",
-                workers=2,
-                sweep="family",
-                max_resident_bytes=BUDGET,
-            ),
+            RunnerOptions(execution="parallel", workers=2, max_resident_bytes=BUDGET),
         ).run_policies(factories)
         for name in reference:
             assert result_rows(sharded[name]) == result_rows(reference[name])

@@ -62,42 +62,61 @@ class TestTimestampEquivalence:
             assert medium_workload.function_invocations(fid).tobytes() == legacy.tobytes()
 
 
+FACTORIES = {
+    "fixed-10": lambda: fixed_keepalive_factory(10.0),
+    "fixed-60": lambda: fixed_keepalive_factory(60.0),
+    "no-unload": lambda: no_unloading_factory(),
+    "hybrid": lambda: hybrid_factory(),
+}
+
+
+@pytest.fixture(scope="module")
+def dict_backed_scalar_rows(medium_workload, legacy_dicts):
+    """Per factory, the scalar replay of every app's dict-merged times.
+
+    Computed once per factory and shared by every execution route.
+    """
+    _, per_app = legacy_dicts
+    simulator = ColdStartSimulator(horizon_minutes=medium_workload.duration_minutes)
+    cache: dict[str, dict] = {}
+
+    def rows(factory_id: str) -> dict:
+        if factory_id not in cache:
+            factory = FACTORIES[factory_id]()
+            cache[factory_id] = {
+                app_id: simulator.simulate_app(app_id, times, factory.create())
+                for app_id, times in per_app.items()
+                if times.size >= 1
+            }
+        return cache[factory_id]
+
+    return rows
+
+
 class TestEngineEquivalence:
-    @pytest.mark.parametrize(
-        "make_factory",
-        [
-            lambda: fixed_keepalive_factory(10.0),
-            lambda: fixed_keepalive_factory(60.0),
-            lambda: no_unloading_factory(),
-            lambda: hybrid_factory(),
-        ],
-        ids=["fixed-10", "fixed-60", "no-unload", "hybrid"],
-    )
+    @pytest.mark.parametrize("factory_id", list(FACTORIES))
     @pytest.mark.parametrize("execution", ["serial", "auto"])
     def test_rows_byte_identical_to_dict_backed_scalar(
-        self, medium_workload, legacy_dicts, make_factory, execution
+        self, medium_workload, dict_backed_scalar_rows, factory_id, execution
     ):
         """Engine rows from store slices == scalar replay of dict merges.
 
         The serial route must be byte-identical: same arrays, same
-        per-term float operations.  The ``auto`` route may pick the
-        vectorized/banked fast paths whose *summation order* differs from
-        the scalar loop by design (documented since the engines landed),
-        so waste there is held to the 1e-9 equivalence bound instead.
+        per-term float operations.  The ``auto`` route evaluates the
+        policy as a family of one, whose *summation order* differs from
+        the scalar loop by design, so waste there is held to the 1e-9
+        equivalence bound instead.
         """
-        _, per_app = legacy_dicts
-        factory = make_factory()
         engine = SimulationEngine(medium_workload, RunnerOptions(execution=execution))
-        result = engine.run_policy(factory)
-        simulator = ColdStartSimulator(horizon_minutes=medium_workload.duration_minutes)
+        result = engine.run_policy(FACTORIES[factory_id]())
+        oracle = dict_backed_scalar_rows(factory_id)
         rows = {row.app_id: row for row in result.app_results}
         checked = 0
         for app in medium_workload.apps:
-            legacy_times = per_app[app.app_id]
-            if legacy_times.size < 1:
+            if app.app_id not in oracle:
                 assert app.app_id not in rows
                 continue
-            expected = simulator.simulate_app(app.app_id, legacy_times, factory.create())
+            expected = oracle[app.app_id]
             row = rows[app.app_id]
             assert row.invocations == expected.invocations
             assert row.cold_starts == expected.cold_starts

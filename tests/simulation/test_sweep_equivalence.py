@@ -1,4 +1,4 @@
-"""Sweep-equivalence suite: the shared-state sweep engine vs per-config runs.
+"""Sweep-equivalence suite: shared-state family passes vs the serial oracle.
 
 The sweep engine (:mod:`repro.simulation.sweep_engine`) evaluates a whole
 policy family in one pass over the workload — shared per-app gaps for the
@@ -6,10 +6,10 @@ constant-keep-alive grid, one shared histogram pass plus per-config
 decision masks for the hybrid family.  This suite locks down the contract
 that makes that safe: for every figure family (14, 16, 17, 18, and the
 Figure 19 ARIMA comparison) and for mixed shareable/unshareable factory
-lists, the per-application results match independent per-configuration
-runs — cold-start counts exactly, wasted memory within 1e-9, decision-mode
-counters and OOB counts exactly — and the family path composes with the
-parallel sharded engine unchanged.
+lists, the per-application results match the serial scalar loop run one
+configuration at a time — cold-start counts exactly, wasted memory within
+1e-9, decision-mode counters and OOB counts exactly — and the family path
+composes with the parallel sharded engine unchanged.
 """
 
 from __future__ import annotations
@@ -59,13 +59,11 @@ def streams_workload():
 
 
 def run_both(workload, factories, **options):
-    """One per-policy reference run and one family run of the same list."""
+    """One serial reference run and one family run of the same list."""
     reference = WorkloadRunner(
-        workload, RunnerOptions(sweep="per-policy", **options)
+        workload, RunnerOptions(execution="serial", **options)
     ).run_policies(factories)
-    family = WorkloadRunner(
-        workload, RunnerOptions(sweep="family", **options)
-    ).run_policies(factories)
+    family = WorkloadRunner(workload, RunnerOptions(**options)).run_policies(factories)
     return reference, family
 
 
@@ -144,9 +142,16 @@ class TestFactoryGrouping:
         assert enabled()
         assert enabled(execution="parallel")
         assert not enabled(execution="serial")
-        assert not enabled(execution="banked")
-        assert enabled(execution="serial", sweep="family")
         assert not enabled(sweep="per-policy")
+        assert not enabled(execution="parallel", sweep="per-policy")
+
+    def test_per_policy_runs_families_of_one(self, streams_workload):
+        factories = figure_factories("fig16")
+        reference = WorkloadRunner(
+            streams_workload, RunnerOptions(sweep="per-policy")
+        ).run_policies(factories)
+        shared = WorkloadRunner(streams_workload).run_policies(factories)
+        assert_results_match(reference, shared)
 
     def test_unknown_sweep_mode_rejected(self):
         with pytest.raises(ValueError, match="sweep mode"):
@@ -197,11 +202,9 @@ class TestFamilyEquivalence:
 
     def test_fig19_arima_comparison_shares_hybrid_pass(self, streams_workload):
         per_policy = sweep_arima_contribution(
-            streams_workload, options=RunnerOptions(sweep="per-policy")
+            streams_workload, options=RunnerOptions(execution="serial")
         )
-        shared = sweep_arima_contribution(
-            streams_workload, options=RunnerOptions(sweep="family")
-        )
+        shared = sweep_arima_contribution(streams_workload, options=RunnerOptions())
         for attribute in ("fixed", "hybrid_without_arima", "hybrid"):
             assert_app_results_match(
                 list(getattr(per_policy, attribute).app_results),
@@ -265,13 +268,11 @@ class TestFamilyEquivalence:
 
     def test_parallel_sharding_matches_in_process(self, streams_workload):
         factories = combined_figure_factories(("fig14", "fig16"))
-        in_process = WorkloadRunner(
-            streams_workload, RunnerOptions(sweep="family")
-        ).run_policies(factories)
+        in_process = WorkloadRunner(streams_workload).run_policies(factories)
         for workers in (1, 3):
             sharded = WorkloadRunner(
                 streams_workload,
-                RunnerOptions(execution="parallel", workers=workers, sweep="family"),
+                RunnerOptions(execution="parallel", workers=workers),
             ).run_policies(factories)
             assert_results_match(in_process, sharded)
 
@@ -297,7 +298,7 @@ class TestArimaForecastSharing:
             hybrid_factory(),
             hybrid_factory(arima_margin=0.30).renamed("hybrid-wide-margin"),
         ]
-        runner = WorkloadRunner(streams_workload, RunnerOptions(sweep="family"))
+        runner = WorkloadRunner(streams_workload)
         results = runner.run_policies(factories)
         arima_decisions = results["hybrid-4h"].mode_usage()["arima"]
         assert arima_decisions > 0
@@ -319,9 +320,7 @@ class TestArimaForecastSharing:
             sweep_engine_module._ArimaForecastMemo, "predictions", counting_predictions
         )
         factories = [hybrid_factory(), hybrid_factory(cv_threshold=5.0).renamed("cv5")]
-        WorkloadRunner(streams_workload, RunnerOptions(sweep="family")).run_policies(
-            factories
-        )
+        WorkloadRunner(streams_workload).run_policies(factories)
         assert calls  # the branch fired
         # Every position is looked up once per config; the memo makes the
         # second config's lookups cache hits (asserted via fit counting

@@ -36,7 +36,7 @@ class TestCommands:
         # No mode-tracking policy in the run: no decision-mode block.
         assert "decision-mode usage" not in output
 
-    @pytest.mark.parametrize("execution", ["serial", "banked", "auto"])
+    @pytest.mark.parametrize("execution", ["serial", "auto", "parallel"])
     def test_simulate_reports_hybrid_mode_usage(self, capsys, execution):
         assert (
             main(
@@ -57,9 +57,26 @@ class TestCommands:
         assert "histogram" in output
         assert "OOB idle %" in output
 
-    def test_simulate_rejects_bad_policy_spec(self):
-        with pytest.raises(ValueError, match="keep-alive window"):
-            main(["simulate", *SMALL, "--policies", "fixed:0"])
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            (["simulate", "--policies", "fixed:0"], "keep-alive window"),
+            (["simulate", "--policies", "fixed:abc"], "must be a number"),
+            (["simulate", "--workers", "0"], "worker count"),
+            (["simulate", "--max-resident-mb", "0"], "max_resident_bytes"),
+            (["sweep", "--policies", "hybrid:1:2:3:4"], "hybrid policy spec"),
+            (["sweep", "--workers", "0"], "worker count"),
+            (["experiment", "fig14", "--workers", "0"], "worker count"),
+            (["experiment", "fig14", "--max-resident-mb", "0"], "max_resident_bytes"),
+            (["replay", "--policies", "fixed:abc"], "must be a number"),
+            (["replay", "--workers", "0"], "worker count"),
+        ],
+    )
+    def test_invalid_option_values_exit_2(self, capsys, arguments, message):
+        assert main([*arguments, *SMALL]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
 
     def test_generate_and_reload(self, tmp_path, capsys):
         out_dir = tmp_path / "trace"
@@ -354,6 +371,30 @@ class TestCommands:
         assert "fixed-10min" in output
         assert "hybrid-cv2" in output
         assert "configurations over" in output
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            ["--sweep", "per-policy"],
+            ["--execution", "serial"],
+            ["--execution", "parallel", "--workers", "2"],
+        ],
+        ids=["per-policy", "serial", "parallel"],
+    )
+    def test_sweep_table_identical_across_routes(self, capsys, route):
+        arguments = ["sweep", *SMALL, "--figures", "fig14", "fig18"]
+
+        def table(argv):
+            # Everything between the grouping header and the timing line:
+            # the comparison table and the decision-mode block.
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1].startswith("evaluated 13 configurations")
+            return lines[lines.index("") + 1 : -1]
+
+        reference = table(arguments)
+        assert "decision-mode usage (hybrid policies):" in reference
+        assert table([*arguments, *route]) == reference
 
     def test_sweep_explicit_policies(self, capsys):
         assert (
