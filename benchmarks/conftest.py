@@ -58,7 +58,7 @@ def record_bench_result(name: str, *, speedup: float | None = None, **details) -
 
     Each entry records the benchmark name, the measured speedup (when the
     benchmark asserts one), any extra details the benchmark chooses to
-    keep (timings, workload shape, compiled-path availability), and
+    keep (timings, workload shape, worker counts), and
     enough environment context to interpret the number later.  The file
     holds a JSON list and is append-only: re-runs add entries rather than
     overwrite, so the file is the perf trajectory across sessions.

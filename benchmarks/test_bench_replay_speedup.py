@@ -534,72 +534,6 @@ def test_columnar_replay_at_least_3x(workload, replay_setup, record_bench):
     assert speedup >= 3.0
 
 
-def test_compiled_event_core_replay(workload, replay_setup, monkeypatch, record_bench):
-    """Compiled event core vs the heapq fallback on the session replay.
-
-    Byte-identity is asserted unconditionally: the array core (selected
-    by ``REPRO_COMPILED=1``; interpreted when numba is absent) must
-    produce exactly the metrics of the ``heapq`` fallback
-    (``REPRO_COMPILED=0``).  The >= 2x speedup half of the PR 7
-    acceptance criterion only holds with the kernels actually jitted, so
-    it is asserted when numba compiled them (the nightly compiled-path CI
-    job) and reported otherwise.
-    """
-    from repro.platform.event_kernels import NUMBA_COMPILED
-
-    from tests.platform.test_replay_equivalence import assert_metrics_equivalent
-
-    replay_config, cluster_config = replay_setup
-    factory = fixed_keepalive_factory(10.0)
-    feed = TraceReplayer(
-        workload, replay_config=replay_config, cluster_config=cluster_config
-    ).feed  # shared columnar stream: feed construction is not measured
-
-    def replay(core: str):
-        monkeypatch.setenv("REPRO_COMPILED", core)
-        return TraceReplayer(
-            workload,
-            replay_config=replay_config,
-            cluster_config=cluster_config,
-            feed=feed,
-        ).run(factory)
-
-    fallback = replay("0")
-    compiled = replay("1")
-    assert_metrics_equivalent(fallback.metrics, compiled.metrics)
-    compiled_summary = compiled.summary()
-    fallback_summary = fallback.summary()
-    # The overhead gauge is wall-clock time, not simulation state.
-    compiled_summary.pop("controller_overhead_us")
-    fallback_summary.pop("controller_overhead_us")
-    assert compiled_summary == fallback_summary
-    assert compiled.prewarm_messages == fallback.prewarm_messages
-
-    fallback_best = _best_of(2, lambda: replay("0"))
-    compiled_best = _best_of(3, lambda: replay("1"))
-    speedup = fallback_best / compiled_best
-    mode = "jitted" if NUMBA_COMPILED else "interpreted (numba absent)"
-    print(
-        f"\nevent-core replay ({mode}): "
-        f"heapq fallback best {fallback_best * 1e3:.0f} ms, "
-        f"array core best {compiled_best * 1e3:.0f} ms, speedup {speedup:.2f}x"
-    )
-    record_bench(
-        "platform/compiled-vs-fallback-event-core",
-        speedup=speedup,
-        fallback_seconds=fallback_best,
-        compiled_seconds=compiled_best,
-        numba_compiled=NUMBA_COMPILED,
-    )
-    if NUMBA_COMPILED:
-        assert speedup >= 2.0
-    else:
-        pytest.skip(
-            "numba absent: array core ran interpreted; byte-identity asserted, "
-            "the >= 2x speedup bar runs in the compiled-path CI job"
-        )
-
-
 @pytest.mark.parametrize("path", ["seed", "columnar"])
 def test_bench_replay_paths(benchmark, workload, replay_setup, path):
     """Head-to-head pytest-benchmark group: seed vs columnar replay."""

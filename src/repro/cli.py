@@ -157,10 +157,15 @@ def _runner_options(args: argparse.Namespace) -> RunnerOptions:
     )
 
 
-def _usage_error(error: ValueError) -> int:
+def _usage_error(error: Exception) -> int:
     """Report an invalid option value on stderr; exit status 2, like argparse."""
     print(f"error: {error}", file=sys.stderr)
     return 2
+
+
+class _InputError(Exception):
+    """A workload input the CLI cannot use; :func:`main` reports it as a
+    usage error."""
 
 
 def _workload_config(args: argparse.Namespace) -> GeneratorConfig:
@@ -173,10 +178,21 @@ def _workload_config(args: argparse.Namespace) -> GeneratorConfig:
     )
 
 
+def _load_trace(path: Path, seed: int) -> Workload:
+    try:
+        return load_dataset(path, seed=seed)
+    except (ValueError, FileNotFoundError) as error:
+        raise _InputError(error) from error
+
+
 def _build_workload(args: argparse.Namespace) -> Workload:
     if args.trace_dir is not None:
-        return load_dataset(args.trace_dir, seed=args.seed)
-    return WorkloadGenerator(_workload_config(args)).generate()
+        return _load_trace(args.trace_dir, args.seed)
+    try:
+        config = _workload_config(args)
+    except ValueError as error:
+        raise _InputError(error) from error
+    return WorkloadGenerator(config).generate()
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -302,7 +318,7 @@ def _open_store(path: Path) -> InvocationStore:
     try:
         return InvocationStore.open(path, mmap=True)
     except Exception as error:
-        raise SystemExit(
+        raise _InputError(
             f"{path} is neither a packed .npz store nor a dataset directory "
             f"({error})"
         ) from None
@@ -399,7 +415,7 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_pack(args: argparse.Namespace) -> int:
-    workload = load_dataset(args.source, seed=args.seed)
+    workload = _load_trace(args.source, args.seed)
     path = workload.store.save(args.out)
     size_mb = path.stat().st_size / 1e6
     print(
@@ -565,6 +581,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         max_daily_rate=args.max_daily_rate,
     )
     try:
+        scale.generator_config()  # validates the workload options up front
         options = _runner_options(args)
     except ValueError as error:
         return _usage_error(error)
@@ -951,7 +968,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _InputError as error:
+        return _usage_error(error)
 
 
 if __name__ == "__main__":

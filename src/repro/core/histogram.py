@@ -229,10 +229,11 @@ class IdleTimeHistogram:
         in_bounds = self.in_bounds_count
         if in_bounds == 0:
             raise ValueError("histogram has no in-bounds observations")
-        cumulative = np.cumsum(self._counts)
         target = q / 100.0 * in_bounds
         # Index of the first bin whose cumulative count reaches the target.
-        index = int(np.searchsorted(cumulative, max(target, 1e-12), side="left"))
+        # Array methods, not the np.* wrappers: the hybrid policy calls this
+        # twice per histogram-mode decision.
+        index = int(self._counts.cumsum().searchsorted(max(target, 1e-12)))
         index = min(index, self._num_bins - 1)
         lower = index * self._bin_width
         upper = (index + 1) * self._bin_width

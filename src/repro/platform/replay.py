@@ -200,18 +200,8 @@ class _FeedCursor:
             return None
         return self._times[index]
 
-    def emit(self) -> None:
-        index = self._index
-        self._index = index + 1
-        self._submit(
-            self._apps[index],
-            self._functions[index],
-            execution_seconds=self._durations[index],
-            memory_mb=self._memory[index],
-        )
-
     def emit_next(self) -> float | None:
-        """Fused ``emit`` + ``next_time`` (the loop's preferred call)."""
+        """Submit the next invocation and return the following timestamp."""
         index = self._index
         self._index = index + 1
         self._submit(

@@ -60,20 +60,36 @@ class TestCommands:
     @pytest.mark.parametrize(
         "arguments, message",
         [
-            (["simulate", "--policies", "fixed:0"], "keep-alive window"),
-            (["simulate", "--policies", "fixed:abc"], "must be a number"),
-            (["simulate", "--workers", "0"], "worker count"),
-            (["simulate", "--max-resident-mb", "0"], "max_resident_bytes"),
-            (["sweep", "--policies", "hybrid:1:2:3:4"], "hybrid policy spec"),
-            (["sweep", "--workers", "0"], "worker count"),
-            (["experiment", "fig14", "--workers", "0"], "worker count"),
-            (["experiment", "fig14", "--max-resident-mb", "0"], "max_resident_bytes"),
-            (["replay", "--policies", "fixed:abc"], "must be a number"),
-            (["replay", "--workers", "0"], "worker count"),
+            (["simulate", "--policies", "fixed:0", *SMALL], "keep-alive window"),
+            (["simulate", "--policies", "fixed:abc", *SMALL], "must be a number"),
+            (["simulate", "--workers", "0", *SMALL], "worker count"),
+            (["simulate", "--max-resident-mb", "0", *SMALL], "max_resident_bytes"),
+            (["sweep", "--policies", "hybrid:1:2:3:4", *SMALL], "hybrid policy spec"),
+            (["sweep", "--workers", "0", *SMALL], "worker count"),
+            (["experiment", "fig14", "--workers", "0", *SMALL], "worker count"),
+            (
+                ["experiment", "fig14", "--max-resident-mb", "0", *SMALL],
+                "max_resident_bytes",
+            ),
+            (["replay", "--policies", "fixed:abc", *SMALL], "must be a number"),
+            (["replay", "--workers", "0", *SMALL], "worker count"),
+            (["simulate", "--num-apps", "0"], "num_apps must be at least 1"),
+            (["replay", "--num-apps", "0"], "num_apps must be at least 1"),
+            (
+                ["generate", "--num-apps", "0", "--out", "unwritten"],
+                "num_apps must be at least 1",
+            ),
+            (["sweep", "--num-apps", "0"], "num_apps must be at least 1"),
+            (["experiment", "fig14", "--num-apps", "0"], "num_apps must be at least 1"),
+            (["characterize", "--trace-dir", "/nonexistent"], "no invocations"),
+            (["simulate", "--trace-dir", "/nonexistent"], "no invocations"),
+            (["replay", "--trace-dir", "/nonexistent"], "no invocations"),
+            (["trace", "pack", "/nonexistent", "unwritten.npz"], "no invocations"),
+            (["trace", "info", "/nonexistent"], "neither a packed .npz store"),
         ],
     )
     def test_invalid_option_values_exit_2(self, capsys, arguments, message):
-        assert main([*arguments, *SMALL]) == 2
+        assert main(arguments) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert message in captured.err
