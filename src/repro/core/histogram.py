@@ -42,6 +42,11 @@ class HistogramSnapshot:
         return self.total_count - self.oob_count
 
 
+def _check_percentile(q: float) -> None:
+    if not 0 <= q <= 100:
+        raise ValueError("percentile must be within [0, 100]")
+
+
 class IdleTimeHistogram:
     """Fixed-range histogram of idle times with 1-minute (configurable) bins.
 
@@ -69,9 +74,10 @@ class IdleTimeHistogram:
         self._oob_count = 0
         self._total_count = 0
         # Welford accumulator over the *bin counts*, maintained incrementally
-        # so the representativeness CV check is O(1) per update.
-        self._bin_stats = Welford()
-        self._bin_stats.update_many([0.0] * self._num_bins)
+        # so the representativeness CV check is O(1) per update.  It starts
+        # as num_bins zeros: adding 0.0 to an all-zero accumulator leaves
+        # mean and m2 at exactly 0.0, so only the count needs setting.
+        self._bin_stats = Welford(count=self._num_bins)
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -174,8 +180,7 @@ class IdleTimeHistogram:
         self._counts[:] = 0
         self._oob_count = 0
         self._total_count = 0
-        self._bin_stats = Welford()
-        self._bin_stats.update_many([0.0] * self._num_bins)
+        self._bin_stats = Welford(count=self._num_bins)
 
     def decay(self, factor: float = 0.5) -> None:
         """Multiply every bin count by ``factor`` (integer floor).
@@ -222,19 +227,10 @@ class IdleTimeHistogram:
             The percentile value in minutes.  Raises ``ValueError`` when the
             histogram holds no in-bounds observations.
         """
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be within [0, 100]")
+        _check_percentile(q)
         if rounding not in ("down", "up", "nearest"):
             raise ValueError(f"unknown rounding mode: {rounding!r}")
-        in_bounds = self.in_bounds_count
-        if in_bounds == 0:
-            raise ValueError("histogram has no in-bounds observations")
-        target = q / 100.0 * in_bounds
-        # Index of the first bin whose cumulative count reaches the target.
-        # Array methods, not the np.* wrappers: the hybrid policy calls this
-        # twice per histogram-mode decision.
-        index = int(self._counts.cumsum().searchsorted(max(target, 1e-12)))
-        index = min(index, self._num_bins - 1)
+        index = self._percentile_bin(self._cumulative_counts(), q)
         lower = index * self._bin_width
         upper = (index + 1) * self._bin_width
         if rounding == "down":
@@ -242,6 +238,33 @@ class IdleTimeHistogram:
         if rounding == "up":
             return upper
         return (lower + upper) / 2.0
+
+    def cutoffs(self, head_q: float, tail_q: float) -> tuple[float, float]:
+        """``(head_cutoff(head_q), tail_cutoff(tail_q))`` from one cumulative pass.
+
+        The hybrid policy needs both on every histogram-mode decision; this
+        shares the ``cumsum`` between them and is bit-identical to the two
+        separate calls (same errors too).
+        """
+        _check_percentile(head_q)
+        _check_percentile(tail_q)
+        cumulative = self._cumulative_counts()
+        head = self._percentile_bin(cumulative, head_q)
+        tail = self._percentile_bin(cumulative, tail_q)
+        return head * self._bin_width, (tail + 1) * self._bin_width
+
+    def _cumulative_counts(self) -> np.ndarray:
+        if self._total_count == self._oob_count:
+            raise ValueError("histogram has no in-bounds observations")
+        # Array methods, not the np.* wrappers: the hybrid policy runs this
+        # on every histogram-mode decision.
+        return self._counts.cumsum()
+
+    def _percentile_bin(self, cumulative: np.ndarray, q: float) -> int:
+        """Index of the first bin whose cumulative count reaches ``q`` %."""
+        target = q / 100.0 * (self._total_count - self._oob_count)
+        index = int(cumulative.searchsorted(max(target, 1e-12)))
+        return min(index, self._num_bins - 1)
 
     def head_cutoff(self, percentile: float) -> float:
         """Head of the distribution (pre-warming window), rounded down."""

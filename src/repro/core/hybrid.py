@@ -196,8 +196,9 @@ class HybridHistogramPolicy(KeepAlivePolicy):
         return decision, PolicyMode.STANDARD_KEEPALIVE
 
     def _histogram_decision(self) -> tuple[PolicyDecision, PolicyMode]:
-        head = self.histogram.head_cutoff(self.config.head_percentile)
-        tail = self.histogram.tail_cutoff(self.config.tail_percentile)
+        head, tail = self.histogram.cutoffs(
+            self.config.head_percentile, self.config.tail_percentile
+        )
         prewarm = head * (1.0 - self.config.prewarm_margin)
         keepalive_end = tail * (1.0 + self.config.keepalive_margin)
         if prewarm < self.config.bin_width_minutes:

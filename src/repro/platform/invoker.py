@@ -117,7 +117,11 @@ class Invoker:
         #: Concurrency cap while degraded; above it new activations are
         #: shed (brownout).  0 disables shedding.
         self.brownout_concurrency = 0
-        self._containers: dict[str, Container] = {}
+        #: Loaded containers by application id, in creation order.  Every
+        #: entry is loaded: _unload() removes it in the same step that
+        #: marks the container UNLOADED.  Owned by the invoker; the load
+        #: balancer only reads it (a warm container is a membership test).
+        self.containers: dict[str, Container] = {}
         # In-flight executions keyed by a local delivery sequence (not the
         # activation id: under at-least-once delivery two copies of the
         # same activation can run here concurrently): the completion event
@@ -133,18 +137,15 @@ class Invoker:
         self._keepalive_handles: dict[str, EventHandle] = {}
         self._keepalive_deadline: dict[str, float] = {}
         self._activation_counter = 0
-        self._used_memory_mb = 0.0
+        #: Memory of the loaded containers, maintained incrementally on
+        #: container create/unload (read-only for everyone else).  A plain
+        #: attribute, not a property: the load balancer reads it for every
+        #: candidate of every placement.
+        self.used_memory_mb = 0.0
 
     # ------------------------------------------------------------------ #
     # Capacity accounting
     # ------------------------------------------------------------------ #
-    @property
-    def used_memory_mb(self) -> float:
-        # Maintained incrementally on container create/unload: every
-        # container in the dict is loaded (unloading removes it), and the
-        # load balancer queries this on every placement.
-        return self._used_memory_mb
-
     @property
     def free_memory_mb(self) -> float:
         return self.memory_capacity_mb - self.used_memory_mb
@@ -187,13 +188,10 @@ class Invoker:
         return not self.decommissioned
 
     def container_for(self, app_id: str) -> Optional[Container]:
-        # Every container in the dict is loaded: _unload() removes the
-        # entry in the same step that marks the container UNLOADED, so no
-        # per-call state check is needed on this (very hot) lookup.
-        return self._containers.get(app_id)
+        return self.containers.get(app_id)
 
     def loaded_app_ids(self) -> list[str]:
-        return [app_id for app_id, c in self._containers.items() if c.is_loaded]
+        return list(self.containers)
 
     # ------------------------------------------------------------------ #
     # Activation handling
@@ -220,7 +218,7 @@ class Invoker:
             return
         loop = self.loop
         now = loop.now
-        container = self._containers.get(message.app_id)
+        container = self.containers.get(message.app_id)
         cold = container is None
         if cold:
             container = self._create_container(message.app_id, message.memory_mb)
@@ -328,24 +326,32 @@ class Invoker:
             created_at_seconds=now,
             warm_at_seconds=now + startup,
         )
-        self._containers[app_id] = container
-        self._used_memory_mb += container.memory_mb
+        self.containers[app_id] = container
+        self.used_memory_mb += container.memory_mb
         self.loop.schedule(startup, lambda: container.mark_warm(self.loop.now))
         return container
 
     def _ensure_capacity(self, needed_mb: float) -> None:
-        """Evict least-recently-used idle containers until memory fits."""
-        guard = len(self._containers) + 1
+        """Evict least-recently-used idle containers until memory fits.
+
+        The victim is the IDLE container with nothing in flight that went
+        idle earliest; on a tie the first one in creation order wins (the
+        strict ``<``).  STARTING and BUSY containers are never evicted.
+        """
+        idle_state = ContainerState.IDLE
+        guard = len(self.containers) + 1
         while self.free_memory_mb < needed_mb and guard > 0:
             guard -= 1
-            idle = [
-                c
-                for c in self._containers.values()
-                if c.is_loaded and c.state is ContainerState.IDLE and c.in_flight == 0
-            ]
-            if not idle:
+            victim = None
+            oldest = 0.0
+            for container in self.containers.values():
+                if container.state is idle_state and container.in_flight == 0:
+                    idle_at = container.last_idle_at_seconds
+                    if victim is None or idle_at < oldest:
+                        victim = container
+                        oldest = idle_at
+            if victim is None:
                 break
-            victim = min(idle, key=lambda c: c.last_idle_at_seconds)
             self.metrics.record_eviction(self.invoker_id)
             self._unload(victim.app_id, reason="memory-pressure")
 
@@ -382,7 +388,7 @@ class Invoker:
             return
         self._keepalive_handles.pop(app_id, None)
         self._keepalive_deadline.pop(app_id, None)
-        container = self._containers.get(app_id)
+        container = self.containers.get(app_id)
         if container is None or container.in_flight > 0:
             return
         self._unload(app_id, reason="keepalive-expired")
@@ -392,7 +398,7 @@ class Invoker:
         self._keepalive_deadline.pop(app_id, None)
 
     def _unload(self, app_id: str, *, reason: str) -> None:
-        container = self._containers.get(app_id)
+        container = self.containers.get(app_id)
         if container is None or not container.is_loaded:
             return
         self._cancel_keepalive(app_id)
@@ -400,8 +406,8 @@ class Invoker:
         self.metrics.record_container_unload(
             self.invoker_id, container.memory_mb, loaded, reason=reason, app_id=app_id
         )
-        del self._containers[app_id]
-        self._used_memory_mb -= container.memory_mb
+        del self.containers[app_id]
+        self.used_memory_mb -= container.memory_mb
         if self.on_unload is not None:
             self.on_unload(
                 ContainerUnloadNotice(
@@ -414,8 +420,8 @@ class Invoker:
 
     def flush(self) -> None:
         """Unload every idle container (end of the experiment) for accounting."""
-        for app_id in list(self._containers):
-            container = self._containers[app_id]
+        for app_id in list(self.containers):
+            container = self.containers[app_id]
             if container.is_loaded and container.in_flight == 0:
                 self._unload(app_id, reason="experiment-end")
 
@@ -446,7 +452,7 @@ class Invoker:
             handle.cancel()
         self._keepalive_handles.clear()
         self._keepalive_deadline.clear()
-        for app_id, container in self._containers.items():
+        for app_id, container in self.containers.items():
             loaded = container.destroy(now)
             self.metrics.record_container_unload(
                 self.invoker_id,
@@ -455,8 +461,8 @@ class Invoker:
                 reason="invoker-crash",
                 app_id=app_id,
             )
-        self._containers.clear()
-        self._used_memory_mb = 0.0
+        self.containers.clear()
+        self.used_memory_mb = 0.0
         self.alive = False
         return lost
 
@@ -512,7 +518,7 @@ class Invoker:
                 f"cannot decommission invoker {self.invoker_id} with "
                 f"{len(self._inflight)} in-flight executions"
             )
-        for app_id in list(self._containers):
+        for app_id in list(self.containers):
             self._unload(app_id, reason="scale-in")
         self._keepalive_handles.clear()
         self._keepalive_deadline.clear()

@@ -116,10 +116,15 @@ class LoadBalancer:
         self._topology_changed()
 
     def remove_invoker(self, invoker: Invoker) -> None:
-        """Remove an invoker from the fleet (autoscaler scale-in)."""
-        self._invokers.remove(invoker)
-        if not self._invokers:
+        """Remove an invoker from the fleet (autoscaler scale-in).
+
+        Raises ``ValueError`` (leaving the fleet unchanged) when the
+        invoker is not in the fleet or is the last one.
+        """
+        index = self._invokers.index(invoker)
+        if len(self._invokers) == 1:
             raise ValueError("cannot remove the last invoker")
+        del self._invokers[index]
         self._topology_changed()
 
     def _topology_changed(self) -> None:
@@ -156,17 +161,23 @@ class LoadBalancer:
 
         Returns ``None`` when no invoker is alive (whole fleet down); the
         controller defers the activation and retries.
+
+        This runs once per activation, so it reads the invokers'
+        attributes directly: ``capacity - used >= memory_mb`` is
+        :attr:`Invoker.free_memory_mb` and ``used / capacity`` is
+        :attr:`Invoker.load_fraction`, computed the same way.
         """
-        count = len(self._invokers)
+        invokers = self._invokers
+        count = len(invokers)
         home_index, step = self._ring(app_id)
-        home_id = self._invokers[home_index].invoker_id
+        home_id = invokers[home_index].invoker_id
 
         # First pass: prefer any live invoker that already holds a warm
         # container for the application, starting from the home node.
         index = home_index
         for hops in range(count):
-            invoker = self._invokers[index]
-            if invoker.alive and invoker.container_for(app_id) is not None:
+            invoker = invokers[index]
+            if invoker.alive and app_id in invoker.containers:
                 return PlacementDecision(
                     invoker=invoker,
                     home_invoker_id=home_id,
@@ -176,20 +187,20 @@ class LoadBalancer:
             index = (index + step) % count
 
         # Second pass: first live invoker (starting at home) with room.
+        threshold = self.overload_threshold
         index = home_index
         for hops in range(count):
-            invoker = self._invokers[index]
-            if (
-                invoker.alive
-                and invoker.free_memory_mb >= memory_mb
-                and invoker.load_fraction < self.overload_threshold
-            ):
-                return PlacementDecision(
-                    invoker=invoker,
-                    home_invoker_id=home_id,
-                    hops=hops,
-                    had_warm_container=False,
-                )
+            invoker = invokers[index]
+            if invoker.alive:
+                used = invoker.used_memory_mb
+                capacity = invoker.memory_capacity_mb
+                if capacity - used >= memory_mb and used / capacity < threshold:
+                    return PlacementDecision(
+                        invoker=invoker,
+                        home_invoker_id=home_id,
+                        hops=hops,
+                        had_warm_container=False,
+                    )
             index = (index + step) % count
 
         return self._saturated_fallback(home_id, count)
@@ -197,14 +208,18 @@ class LoadBalancer:
     def _saturated_fallback(
         self, home_id: int, hops: int
     ) -> PlacementDecision | None:
-        """Least-loaded live invoker, or ``None`` with the fleet down."""
+        """Least-loaded live invoker, or ``None`` with the fleet down.
+
+        Ties go to the first invoker in fleet order (strict ``<``).
+        """
         least_loaded: Invoker | None = None
+        least_load = 0.0
         for invoker in self._invokers:
-            if invoker.alive and (
-                least_loaded is None
-                or invoker.load_fraction < least_loaded.load_fraction
-            ):
-                least_loaded = invoker
+            if invoker.alive:
+                load = invoker.used_memory_mb / invoker.memory_capacity_mb
+                if least_loaded is None or load < least_load:
+                    least_loaded = invoker
+                    least_load = load
         if least_loaded is None:
             return None
         return PlacementDecision(
@@ -220,7 +235,7 @@ class LoadBalancer:
         """Generic two-pass placement over :meth:`_candidate_order`."""
         order, home_id = self._candidate_order(app_id)
         for hops, invoker in enumerate(order):
-            if invoker.alive and invoker.container_for(app_id) is not None:
+            if invoker.alive and app_id in invoker.containers:
                 return PlacementDecision(
                     invoker=invoker,
                     home_invoker_id=home_id,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.histogram import IdleTimeHistogram
+from repro.core.welford import Welford
 
 
 class TestConstruction:
@@ -205,3 +206,117 @@ class TestProperties:
     def test_percentile_bounded_by_range(self, idle_times):
         histogram = IdleTimeHistogram.from_idle_times(idle_times)
         assert 0 <= histogram.percentile(99, rounding="up") <= histogram.range_minutes
+
+
+def _zeros_welford(num_bins: int) -> Welford:
+    """The bin statistics as first built: one ``add(0.0)`` per bin."""
+    stats = Welford()
+    stats.update_many([0.0] * num_bins)
+    return stats
+
+
+def _bits(stats: Welford) -> tuple[int, str, str]:
+    return stats.count, stats.mean.hex(), stats.m2.hex()
+
+
+#: Geometries the equivalence properties run on: the paper's default, a
+#: half-minute grid, and a range that is not a multiple of the width.
+GEOMETRY_VALUES = [(240.0, 1.0), (60.0, 0.5), (10.0, 3.0)]
+GEOMETRIES = st.sampled_from(GEOMETRY_VALUES)
+PERCENTILES = st.one_of(
+    st.sampled_from([0.0, 5.0, 99.0, 100.0]), st.floats(min_value=0, max_value=100)
+)
+
+
+class TestCutoffsEquivalence:
+    """``cutoffs`` is one pass over the counts and equals the two scalar calls."""
+
+    @given(
+        GEOMETRIES,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.02, 0.3, 1.0]),
+        st.sampled_from([2, 10, 1000]),
+        st.integers(min_value=0, max_value=50),
+        PERCENTILES,
+        PERCENTILES,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cutoffs_match_head_and_tail(
+        self, geometry, seed, density, max_count, oob, head_q, tail_q
+    ):
+        range_minutes, width = geometry
+        num_bins = IdleTimeHistogram(range_minutes, width).num_bins
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, max_count, size=num_bins) * (rng.random(num_bins) < density)
+        counts[rng.integers(num_bins)] += 1  # at least one in-bounds observation
+        histogram = IdleTimeHistogram.from_state(
+            counts,
+            oob_count=oob,
+            range_minutes=range_minutes,
+            bin_width_minutes=width,
+            bin_stats=Welford.from_values(counts.astype(float)),
+        )
+        assert histogram.cutoffs(head_q, tail_q) == (
+            histogram.head_cutoff(head_q),
+            histogram.tail_cutoff(tail_q),
+        )
+
+    @given(st.lists(st.floats(min_value=0, max_value=300), max_size=80), PERCENTILES)
+    @settings(max_examples=60, deadline=None)
+    def test_cutoffs_match_after_observations(self, idle_times, q):
+        histogram = IdleTimeHistogram.from_idle_times(idle_times)
+        if histogram.in_bounds_count == 0:
+            with pytest.raises(ValueError):
+                histogram.cutoffs(q, q)
+            return
+        assert histogram.cutoffs(q, 100.0 - q) == (
+            histogram.head_cutoff(q),
+            histogram.tail_cutoff(100.0 - q),
+        )
+
+    def test_cutoffs_raise_on_empty_histogram(self):
+        histogram = IdleTimeHistogram(range_minutes=10)
+        with pytest.raises(ValueError, match="no in-bounds"):
+            histogram.cutoffs(5, 99)
+        histogram.observe(100.0)  # out of bounds only
+        with pytest.raises(ValueError, match="no in-bounds"):
+            histogram.cutoffs(5, 99)
+
+    def test_cutoffs_reject_invalid_percentiles(self):
+        histogram = IdleTimeHistogram.from_idle_times([1.0])
+        with pytest.raises(ValueError, match="within"):
+            histogram.cutoffs(101, 99)
+        with pytest.raises(ValueError, match="within"):
+            histogram.cutoffs(5, -1)
+
+
+class TestLeanBinStatistics:
+    """``Welford(count=n)`` is bit-identical to ``n`` additions of 0.0."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRY_VALUES)
+    def test_construction_and_reset(self, geometry):
+        histogram = IdleTimeHistogram(*geometry)
+        reference = _zeros_welford(histogram.num_bins)
+        assert _bits(histogram._bin_stats) == _bits(reference)
+        histogram.observe_many([0.5, 1.5, 1.6])
+        histogram.reset()
+        assert _bits(histogram._bin_stats) == _bits(reference)
+        assert histogram.bin_count_cv.hex() == reference.cv.hex()
+
+    @given(
+        GEOMETRIES,
+        st.lists(st.floats(min_value=0, max_value=300), max_size=120),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_observation_trajectory(self, geometry, idle_times, reset_first):
+        lean = IdleTimeHistogram(*geometry)
+        if reset_first:
+            lean.observe_many(idle_times[:3])
+            lean.reset()
+        old = IdleTimeHistogram(*geometry)
+        old._bin_stats = _zeros_welford(old.num_bins)
+        for value in idle_times:
+            assert lean.observe(value) == old.observe(value)
+            assert _bits(lean._bin_stats) == _bits(old._bin_stats)
+            assert lean.bin_count_cv.hex() == old.bin_count_cv.hex()

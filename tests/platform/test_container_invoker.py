@@ -146,6 +146,67 @@ class TestInvoker:
         assert invoker.container_for("a") is None
         assert invoker.container_for("c") is not None
 
+    def test_eviction_tie_goes_to_first_created(self):
+        # Zero start-up spread: both containers warm at the same instant,
+        # so their last-idle times are equal.
+        loop, metrics, invoker = _make_invoker(memory=250.0)
+        invoker.cold_start_model = ColdStartModel(container_start_sigma=0.0)
+        for app_id in ("first", "second"):
+            loop.schedule_at(
+                0.0, lambda a=app_id: invoker.prewarm(a, 100.0, keepalive_seconds=1e6)
+            )
+        loop.run(until_seconds=5.0)
+        first, second = invoker.container_for("first"), invoker.container_for("second")
+        assert first.last_idle_at_seconds == second.last_idle_at_seconds
+        loop.schedule_at(6.0, lambda: invoker.prewarm("third", 100.0, keepalive_seconds=1e6))
+        loop.run(until_seconds=7.0)
+        assert metrics.evictions == 1
+        assert invoker.container_for("first") is None
+        assert invoker.container_for("second") is second
+
+    def test_starting_and_busy_containers_are_never_evicted(self):
+        loop, metrics, invoker = _make_invoker(memory=350.0)
+        loop.schedule_at(0.0, lambda: invoker.prewarm("idle", 100.0, keepalive_seconds=1e6))
+        loop.schedule_at(
+            0.0,
+            lambda: invoker.handle_activation(
+                _activation(1, app_id="busy", execution=1000.0, memory=100.0)
+            ),
+        )
+        loop.schedule_at(10.0, lambda: invoker.prewarm("starting", 100.0, keepalive_seconds=1e6))
+        loop.run(until_seconds=10.0)
+        assert invoker.container_for("busy").state is ContainerState.BUSY
+        assert invoker.container_for("starting").state is ContainerState.STARTING
+        # Needs room: only the IDLE container may go.
+        invoker.prewarm("new", 100.0, keepalive_seconds=1e6)
+        assert metrics.evictions == 1
+        assert invoker.container_for("idle") is None
+        # Full again and nothing is IDLE: nothing is evicted (the invoker
+        # over-commits rather than kill a starting or busy container).
+        invoker.prewarm("over", 100.0, keepalive_seconds=1e6)
+        assert metrics.evictions == 1
+        for app_id in ("busy", "starting", "new", "over"):
+            assert invoker.container_for(app_id) is not None
+        assert invoker.used_memory_mb == 400.0
+
+    def test_eviction_stops_once_the_container_fits(self):
+        loop, metrics, invoker = _make_invoker(memory=300.0)
+        for start, app_id in ((0.0, "a"), (10.0, "b"), (20.0, "c")):
+            loop.schedule_at(
+                start, lambda a=app_id: invoker.prewarm(a, 100.0, keepalive_seconds=1e6)
+            )
+        loop.schedule_at(30.0, lambda: invoker.prewarm("d", 100.0, keepalive_seconds=1e6))
+        loop.run(until_seconds=35.0)
+        assert metrics.evictions == 1
+        assert invoker.loaded_app_ids() == ["b", "c", "d"]
+        # 200 MB needs two victims, taken in last-idle order; "d" went
+        # idle last and survives.
+        loop.schedule_at(40.0, lambda: invoker.prewarm("e", 200.0, keepalive_seconds=1e6))
+        loop.run(until_seconds=45.0)
+        assert metrics.evictions == 3
+        assert invoker.loaded_app_ids() == ["d", "e"]
+        assert invoker.used_memory_mb == 300.0
+
     def test_load_fraction(self):
         loop, metrics, invoker = _make_invoker(memory=200.0)
         loop.schedule_at(0.0, lambda: invoker.handle_activation(_activation(1, memory=100.0)))
@@ -223,3 +284,15 @@ class TestLoadBalancer:
     def test_validation(self):
         with pytest.raises(ValueError):
             LoadBalancer([])
+
+    def test_failed_removal_leaves_the_fleet_intact(self):
+        loop, invokers, balancer = self._cluster(count=2)
+        balancer.remove_invoker(invokers[1])
+        with pytest.raises(ValueError, match="last invoker"):
+            balancer.remove_invoker(invokers[0])
+        assert balancer.fleet_size == 1
+        with pytest.raises(ValueError):
+            balancer.remove_invoker(invokers[1])  # no longer in the fleet
+        assert balancer.fleet_size == 1
+        decision = balancer.place("app", 100.0)
+        assert decision.invoker is invokers[0]
